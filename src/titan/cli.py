@@ -52,7 +52,7 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    train, _ = storage.read_dataset(args.dataset)
+    train = storage.read_split(args.dataset, "train")
     hp = _load_hyperparams(args)
     started = time.perf_counter()
     model = solver.fit(train, hp)
@@ -97,7 +97,7 @@ def cmd_predict(args):
 
 
 def cmd_evaluate(args):
-    _, test = storage.read_dataset(args.dataset)
+    test = storage.read_split(args.dataset, "test")
     reports = []
     label_counts = {}
     for path in args.model:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +90,24 @@ class TaskDataset:
 
 
 @dataclass(frozen=True, eq=False)
+class GramStats:
+    """Per-task second moments of one dataset, stacked in task order.
+
+    ``S[r] = X_r^T X_r / n_r`` (T, p, p), ``B[r] = X_r^T Y_r / n_r`` (T, p)
+    and ``c[r] = Y_r^T Y_r / n_r`` (T,), so that for any weights v
+
+        ||X_r v - Y_r||^2 / n_r == c[r] - 2 B[r] . v + v^T S[r] v.
+
+    The arrays are read-only: one copy is shared by every fit on the
+    dataset.
+    """
+
+    S: np.ndarray = field(repr=False)
+    B: np.ndarray = field(repr=False)
+    c: np.ndarray = field(repr=False)
+
+
+@dataclass(frozen=True, eq=False)
 class MultiTaskDataset:
     """Per-road datasets in task-graph order plus the coupling graph."""
 
@@ -113,6 +132,17 @@ class MultiTaskDataset:
     @property
     def n_tasks(self):
         return len(self.tasks)
+
+    @cached_property
+    def gram(self) -> GramStats:
+        """Gram statistics of the tasks, computed on first use and kept
+        (T * p^2 doubles for S)."""
+        S = np.stack([(td.X.T @ td.X) / td.n for td in self.tasks])
+        B = np.stack([(td.X.T @ td.Y) / td.n for td in self.tasks])
+        c = np.array([float(td.Y @ td.Y) / td.n for td in self.tasks])
+        for a in (S, B, c):
+            a.setflags(write=False)
+        return GramStats(S, B, c)
 
     def task(self, road_id) -> TaskDataset:
         return self.tasks[self.graph.index_of(road_id)]

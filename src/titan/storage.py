@@ -23,6 +23,7 @@ from .solver import Hyperparams, TrainedModel
 from .synth import GroundTruth, SynthConfig
 
 FLOAT_FMT = "%.17g"
+SPLITS = ("train", "test")
 
 
 def _fmt_matrix(M):
@@ -83,7 +84,7 @@ def write_dataset(root, train: MultiTaskDataset, test: MultiTaskDataset, truth: 
     )
     edge_lines = [f"{a} {b}" for a, b in train.graph.task_edges()]
     (root / "graph.edges").write_text("\n".join(edge_lines) + "\n", encoding="utf-8")
-    for split, ds in (("train", train), ("test", test)):
+    for split, ds in zip(SPLITS, (train, test)):
         sub = root / split
         sub.mkdir(exist_ok=True)
         for td in ds.tasks:
@@ -120,20 +121,25 @@ def read_task_graph(root):
     return graph, int(meta["h"]), int(meta["t"])
 
 
-def read_dataset(root):
-    """Load (train, test) MultiTaskDataset pairs from a dataset directory."""
+def read_split(root, split):
+    """Load one split ("train" or "test") of a dataset directory as a
+    MultiTaskDataset; the other split's files are not read."""
+    if split not in SPLITS:
+        raise InputError(f"split must be one of {SPLITS}, got {split!r}")
     root = Path(root)
     graph, h, t = read_task_graph(root)
     p = h + t
-    splits = []
-    for split in ("train", "test"):
-        tasks = []
-        for road in graph.tasks:
-            X = read_matrix_csv(root / split / f"X_{road}.csv", columns=p)
-            Y = read_matrix_csv(root / split / f"Y_{road}.csv", columns=1)[:, 0]
-            tasks.append(TaskDataset(road, X, Y))
-        splits.append(MultiTaskDataset(tuple(tasks), graph, h, t))
-    return splits[0], splits[1]
+    tasks = []
+    for road in graph.tasks:
+        X = read_matrix_csv(root / split / f"X_{road}.csv", columns=p)
+        Y = read_matrix_csv(root / split / f"Y_{road}.csv", columns=1)[:, 0]
+        tasks.append(TaskDataset(road, X, Y))
+    return MultiTaskDataset(tuple(tasks), graph, h, t)
+
+
+def read_dataset(root):
+    """Load (train, test) MultiTaskDataset pairs from a dataset directory."""
+    return read_split(root, "train"), read_split(root, "test")
 
 
 def read_ground_truth(root):

@@ -3,7 +3,8 @@
 Oracles deliberately avoid the closed forms used by the library: prox
 operators are checked against numeric minimization of their defining
 objectives, gradients against central finite differences of the smooth
-Lagrangian, and norms/metrics against explicit Python loops.
+Lagrangian, norms/metrics against explicit Python loops, and the
+Gram-statistics loss forms against residuals taken row by row.
 """
 
 import numpy as np
@@ -85,6 +86,72 @@ def fd_grad_Q(data, state, hp, step=1e-5):
                 smooth_lagrangian(data, Qp, state.W, state, hp)
                 - smooth_lagrangian(data, Qm, state.W, state, hp)
             ) / (2.0 * step)
+    return g
+
+
+# ------------------------------------------------------ residual-loop forms
+#
+# The library evaluates every loss term from per-task Gram statistics
+# (c - 2 b.v + v^T S v); these walk the data rows instead.
+
+
+def loop_loss(data, Q, W):
+    """sum_r ||X_r Q W_r - Y_r||^2 / n_r, one residual per row."""
+    total = 0.0
+    for r, td in enumerate(data.tasks):
+        v = Q @ W[:, r]
+        for i in range(td.n):
+            e = float(td.X[i] @ v) - td.Y[i]
+            total += e * e / td.n
+    return total
+
+
+def loop_connectivity(data, W):
+    """(1/2) sum_ij M_ij ||W_i - W_j||^2 over the adjacency entries."""
+    M = data.graph.adjacency
+    total = 0.0
+    for i in range(data.n_tasks):
+        for j in range(data.n_tasks):
+            if M[i, j]:
+                d = W[:, i] - W[:, j]
+                total += 0.5 * float(d @ d)
+    return total
+
+
+def loop_objective(data, Q, W, hp):
+    """Loss plus the l2,1 (rows of W), l1 and connectivity penalties."""
+    return (
+        loop_loss(data, Q, W)
+        + hp.lambda_w * sum(float(np.sqrt(row @ row)) for row in W)
+        + hp.lambda_q * float(np.abs(Q).sum())
+        + hp.lambda_conn * loop_connectivity(data, W)
+    )
+
+
+def loop_smooth_lagrangian(data, Q, W, state, hp):
+    """Loss, connectivity, and the augmented terms of all three constraints."""
+    value = loop_loss(data, Q, W) + hp.lambda_conn * loop_connectivity(data, W)
+    G = Q.T @ Q - np.eye(Q.shape[1])
+    terms = [(state.Lambda1, W - state.U_W), (state.Lambda2, Q - state.U_Q)]
+    if hp.orthogonality:
+        terms.append((state.Lambda3, G))
+    for lam, d in terms:
+        value += float((lam * d).sum()) + 0.5 * hp.rho * float((d * d).sum())
+    return value
+
+
+def loop_grad_Q(data, state, hp):
+    """Gradient of loop_smooth_lagrangian in Q, loss part summed over rows."""
+    Q, W = state.Q, state.W
+    g = np.zeros_like(Q)
+    for r, td in enumerate(data.tasks):
+        v = Q @ W[:, r]
+        for i in range(td.n):
+            e = float(td.X[i] @ v) - td.Y[i]
+            g += (2.0 / td.n) * e * np.outer(td.X[i], W[:, r])
+    g += state.Lambda2 + hp.rho * (Q - state.U_Q)
+    if hp.orthogonality:
+        g += 2.0 * Q @ state.Lambda3 + 2.0 * hp.rho * Q @ (Q.T @ Q - np.eye(Q.shape[1]))
     return g
 
 

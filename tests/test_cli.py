@@ -163,6 +163,21 @@ def test_train_corrupt_csv_exits_2(small_ds, tmp_path, capsys):
     assert "X_r00.csv:2" in captured.err
 
 
+def test_train_and_evaluate_each_read_only_their_split(small_ds, trained, tmp_path):
+    _, _, ds = small_ds
+    hp, model = trained
+    train_only, test_only = tmp_path / "train_only", tmp_path / "test_only"
+    shutil.copytree(ds, train_only, ignore=shutil.ignore_patterns("test"))
+    shutil.copytree(ds, test_only, ignore=shutil.ignore_patterns("train"))
+    again = tmp_path / "m.json"
+    assert main(["train", "--dataset", str(train_only), "--config", hp, "--out", str(again)]) == 0
+    assert again.read_bytes() == model.read_bytes()
+    full, part = tmp_path / "full.csv", tmp_path / "part.csv"
+    assert main(["evaluate", "--dataset", str(ds), "--model", str(model), "--out", str(full)]) == 0
+    assert main(["evaluate", "--dataset", str(test_only), "--model", str(model), "--out", str(part)]) == 0
+    assert part.read_bytes() == full.read_bytes()
+
+
 # ------------------------------------------------------------------- predict
 
 

@@ -8,6 +8,9 @@ import pytest
 from helpers import (
     fd_grad_Q,
     fd_grad_W_column,
+    loop_grad_Q,
+    loop_objective,
+    loop_smooth_lagrangian,
     oracle_prox_l21_row,
     oracle_soft_threshold_nonneg,
     random_dataset,
@@ -115,6 +118,72 @@ def test_objective_matches_oracle():
         Q = rng.standard_normal((6, 2))
         W = rng.standard_normal((2, 3))
         assert abs(objective(data, Q, W, hp) - objective_oracle(data, Q, W, hp)) < 1e-10
+
+
+def noiseless_instance(rng, T=3, p=10, k=3, n=40, scale=40.0):
+    """Labels reproduced by (Q*, W*) up to rounding, at raw-minute scale.
+
+    The state sits at (Q*, W*) with random duals and multipliers, so the
+    loss part is ~0: the case where c - 2 b.v + v^T S v cancels.
+    """
+    names = tuple(f"t{i}" for i in range(T))
+    graph = TaskGraph.from_task_edges(names, list(zip(names, names[1:])))
+    Q = np.abs(rng.standard_normal((p, k)))
+    W = scale * rng.standard_normal((k, T)) / np.sqrt(p)
+    tasks = []
+    for r, name in enumerate(names):
+        X = rng.standard_normal((n, p))
+        tasks.append(TaskDataset(name, X, X @ (Q @ W[:, r])))
+    data = MultiTaskDataset(tuple(tasks), graph, p // 2, p - p // 2)
+    state = random_state(rng, p, k, T)
+    state.Q, state.W = Q, W
+    hp = Hyperparams(lambda_w=0.2, lambda_q=0.05, lambda_conn=0.7, rho=1.3, k=k)
+    return data, state, hp
+
+
+def assert_gram_forms_match_loops(data, state, hp, rtol=1e-10):
+    Q, W = state.Q, state.W
+    for got, want in (
+        (objective(data, Q, W, hp), loop_objective(data, Q, W, hp)),
+        (smooth_lagrangian(data, Q, W, state, hp), loop_smooth_lagrangian(data, Q, W, state, hp)),
+    ):
+        assert abs(got - want) <= rtol * abs(want)
+    g, ref = grad_Q(data, state, hp), loop_grad_Q(data, state, hp)
+    assert np.linalg.norm(g - ref) <= rtol * np.linalg.norm(ref)
+
+
+def test_gram_forms_match_residual_loop_random():
+    rng = np.random.default_rng(30)
+    for _ in range(10):
+        data, state, hp = random_instance(rng)
+        assert_gram_forms_match_loops(data, state, hp)
+        no_orth = dataclasses.replace(hp, orthogonality=False)
+        assert_gram_forms_match_loops(data, state, no_orth)
+
+
+def test_gram_forms_match_residual_loop_near_zero_loss():
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        data, state, hp = noiseless_instance(rng)
+        assert_gram_forms_match_loops(data, state, hp)
+        # the loss alone: rounding stays far below the label energy it cancels
+        energy = sum(float(td.Y @ td.Y) / td.n for td in data.tasks)
+        bare = Hyperparams(lambda_w=0.0, lambda_q=0.0, lambda_conn=0.0, k=hp.k)
+        assert abs(objective(data, state.Q, state.W, bare)) <= 1e-13 * energy
+
+
+def test_gram_statistics_cached_and_read_only():
+    rng = np.random.default_rng(32)
+    data = random_dataset(rng, 3, 6)
+    gs = data.gram
+    assert data.gram is gs
+    assert gs.S.shape == (3, 6, 6) and gs.B.shape == (3, 6) and gs.c.shape == (3,)
+    for r, td in enumerate(data.tasks):
+        np.testing.assert_allclose(gs.S[r], td.X.T @ td.X / td.n, rtol=1e-14)
+        np.testing.assert_allclose(gs.B[r], td.X.T @ td.Y / td.n, rtol=1e-14)
+        assert gs.c[r] == pytest.approx(float(td.Y @ td.Y) / td.n, rel=1e-14)
+    with pytest.raises(ValueError):
+        gs.S[0, 0, 0] = 1.0
 
 
 def test_objective_shape_mismatch():

@@ -12,6 +12,7 @@ from titan.storage import (
     read_hyperparams,
     read_matrix_csv,
     read_model,
+    read_split,
     read_synth_config,
     read_task_graph,
     write_dataset,
@@ -89,6 +90,27 @@ def test_dataset_round_trip(tmp_path):
     np.testing.assert_array_equal(truth2.Q, truth.Q)
     np.testing.assert_array_equal(truth2.W, truth.W)
     assert truth2.tasks == truth.tasks
+
+
+def test_read_split_matches_read_dataset_and_reads_one_split(tmp_path):
+    train, test, _ = generate(SynthConfig(T=3, p=8, k=2, n_per_task=20,
+                                          noise_sigma=0.5, graph_kind="path", seed=1))
+    root = write_dataset(tmp_path / "ds", train, test)
+    pair = read_dataset(root)
+    for split, whole in zip(("train", "test"), pair):
+        part = read_split(root, split)
+        assert part.graph.tasks == whole.graph.tasks and (part.h, part.t) == (whole.h, whole.t)
+        np.testing.assert_array_equal(part.graph.adjacency, whole.graph.adjacency)
+        for a, b in zip(part.tasks, whole.tasks):
+            np.testing.assert_array_equal(a.X, b.X)
+            np.testing.assert_array_equal(a.Y, b.Y)
+    for f in (root / "train").iterdir():
+        f.unlink()
+    assert read_split(root, "test").tasks[0].n == test.tasks[0].n  # train files never opened
+    with pytest.raises(InputError, match="missing file"):
+        read_split(root, "train")
+    with pytest.raises(InputError, match="split must be one of"):
+        read_split(root, "validation")
 
 
 def test_dataset_reader_errors(tmp_path):
