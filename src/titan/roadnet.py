@@ -10,6 +10,7 @@ line graph of the road network.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,13 @@ class TaskGraph:
     def degree(self):
         """Neighbor count per task (row sums of the adjacency)."""
         return self.adjacency.sum(axis=1).astype(int)
+
+    @cached_property
+    def laplacian(self):
+        """Graph Laplacian D - M, built on first use and kept read-only."""
+        L = np.diag(self.adjacency.sum(axis=1)) - self.adjacency
+        L.flags.writeable = False
+        return L
 
     def index_of(self, road_id):
         try:

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +40,9 @@ from .prox import clip_nonneg, norm_fro, norm_l1, norm_l21, prox_l21, soft_thres
 W_SOLVE_MODES = ("exact", "gradient")
 MAX_BACKTRACKS = 30
 GRADIENT_INNER_STEPS = 25
+# Hyperparams fields that must be integers (not bool) and finite reals.
+_INT_FIELDS = ("k", "max_iter", "seed")
+_REAL_FIELDS = ("lambda_w", "lambda_q", "lambda_conn", "rho", "alpha", "eps_primal", "eps_dual")
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,16 @@ class Hyperparams:
     orthogonality: bool = True
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InputError(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise InputError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.orthogonality, bool):
+            raise InputError(f"orthogonality must be true or false, got {self.orthogonality!r}")
         if not self.rho > 0:
             raise InputError(f"rho must be positive, got {self.rho}")
         if self.k < 1:
@@ -130,11 +145,10 @@ def orthogonality_gap(Q):
     return norm_fro(Q.T @ Q - np.eye(k))
 
 
-def connectivity_penalty(W, adjacency):
-    """(1/2) sum_ij M_ij ||W_i - W_j||^2 == tr(W L W^T) for L = D - M."""
-    deg = adjacency.sum(axis=1)
-    L = np.diag(deg) - adjacency
-    return float(np.sum((W @ L) * W))
+def connectivity_penalty(W, graph):
+    """(1/2) sum_ij M_ij ||W_i - W_j||^2 == tr(W L W^T) for the task
+    graph's Laplacian L = D - M."""
+    return float(np.sum((W @ graph.laplacian) * W))
 
 
 def _task_fit(data: MultiTaskDataset, Q, W):
@@ -161,7 +175,7 @@ def objective(data: MultiTaskDataset, Q, W, hp: Hyperparams):
         data_loss(data, Q, W)
         + hp.lambda_w * norm_l21(W)
         + hp.lambda_q * norm_l1(Q)
-        + hp.lambda_conn * connectivity_penalty(W, data.graph.adjacency)
+        + hp.lambda_conn * connectivity_penalty(W, data.graph)
     )
 
 
@@ -172,7 +186,7 @@ def smooth_lagrangian(data: MultiTaskDataset, Q, W, state: SolverState, hp: Hype
     U_W, U_Q; used by gradient checks and Q backtracking.
     """
     rho = hp.rho
-    value = data_loss(data, Q, W) + hp.lambda_conn * connectivity_penalty(W, data.graph.adjacency)
+    value = data_loss(data, Q, W) + hp.lambda_conn * connectivity_penalty(W, data.graph)
     dW = W - state.U_W
     dQ = Q - state.U_Q
     value += float(np.sum(state.Lambda1 * dW)) + 0.5 * rho * float(np.sum(dW * dW))

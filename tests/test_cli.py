@@ -2,13 +2,20 @@
 
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import titan
+from titan import evaluation
 from titan.cli import main
+from titan.errors import InputError, NumericalAbort
 from titan.solver import Hyperparams, TrainedModel, predict
 from titan.storage import read_dataset, read_ground_truth, read_matrix_csv, read_model, write_matrix_csv, write_model
 from titan.evaluation import parse_report_csv
@@ -26,6 +33,12 @@ def sha_tree(root):
 def write_json(path, obj):
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
     return str(path)
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports this titan package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(titan.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
 def pooled_from_stdout(text):
@@ -321,6 +334,63 @@ def test_sweep_k_bad_inputs_exit_2(sweep_ds, capsys):
     assert rc == 2 and "at least one" in capsys.readouterr().err
     rc = main(["sweep-k", "--dataset", str(ds), "--k", "2,zz", "--out", out])
     assert rc == 2 and "--k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [
+    '{"k": 2.5}', '{"max_iter": 5.0}', '{"seed": "x"}', '{"lambda_w": NaN}',
+])
+def test_train_bad_hyperparameter_types_exit_2(small_ds, tmp_path, bad):
+    _, _, ds = small_ds
+    cfg = tmp_path / "hp.json"
+    cfg.write_text(bad + "\n", encoding="utf-8")
+    proc = run_python("-m", "titan", "train", "--dataset", str(ds), "--config", str(cfg), "--out", str(tmp_path / "m.json"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_sweep_k_output_independent_of_worker_count(sweep_ds, monkeypatch, capsys, caplog):
+    root, ds = sweep_ds
+    outputs = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TITAN_THREADS", workers)
+        out = root / f"sweep-{workers}.csv"
+        caplog.clear()
+        with caplog.at_level("INFO", logger="titan"):
+            assert main(["sweep-k", "--dataset", str(ds), "--k", "2,5,3", "--out", str(out)]) == 0
+        outputs[workers] = (out.read_bytes(), capsys.readouterr().out)
+        logged = [r.getMessage() for r in caplog.records if r.name == "titan.evaluation"]
+        assert [m.split()[0] for m in logged[:3]] == ["k=2", "k=5", "k=3"]
+        assert all(re.match(r"^k=\d+ fit_s=[0-9.]+ iterations=\d+ converged=(True|False)$", m) for m in logged[:3])
+        assert f"3 fits on {workers} workers" in logged[3]
+    assert outputs["1"] == outputs["2"]
+    assert [r.k for r in parse_report_csv(outputs["2"][0].decode())] == [2, 5, 3]
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (NumericalAbort, 3, "numerical failure: k=3: "),
+    (InputError, 2, "error: k=3: "),
+])
+def test_sweep_k_worker_failure_keeps_its_exit_code(sweep_ds, monkeypatch, capsys, exc, code, prefix):
+    root, ds = sweep_ds
+    real_fit = evaluation.fit
+
+    def failing_fit(data, hp, q0=None):
+        if hp.k == 3:
+            raise exc("planted failure")
+        return real_fit(data, hp, q0)
+
+    monkeypatch.setattr(evaluation, "fit", failing_fit)  # forked workers inherit the patch
+    monkeypatch.setenv("TITAN_THREADS", "2")
+    rc = main(["sweep-k", "--dataset", str(ds), "--k", "2,3", "--out", str(root / "fail.csv")])
+    assert rc == code
+    assert capsys.readouterr().err.startswith(prefix + "planted failure")
+
+
+def test_cli_import_leaves_process_pool_modules_unloaded():
+    proc = run_python("-c", "import titan.cli, sys; print('multiprocessing' in sys.modules)")
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
 # -------------------------------------------------------------- report-groups

@@ -1,5 +1,7 @@
 """Metrics, reports, group diagnostics, and the k sweep."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from titan.errors import InputError
 from titan.evaluation import (
     MetricsReport,
     MetricTriple,
+    _worker_budget,
     column_support,
     emit_report_csv,
     evaluate,
@@ -239,10 +242,24 @@ def test_sweep_minimum_near_planted_group_count(sweep_data):
 def test_sweep_serial_budget_matches_parallel(sweep_data, monkeypatch):
     train, test, _ = sweep_data
     ks = [2, 3]
+    monkeypatch.setenv("TITAN_THREADS", "2")
     parallel = sweep_group_count(train, test, Hyperparams(), ks)
     monkeypatch.setenv("TITAN_THREADS", "1")
     serial = sweep_group_count(train, test, Hyperparams(), ks)
     assert parallel == serial
+
+
+def test_worker_budget_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("TITAN_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert _worker_budget(10) == 3
+    assert _worker_budget(2) == 2
+    monkeypatch.setenv("TITAN_THREADS", "8")
+    assert _worker_budget(10) == 8
+    monkeypatch.delenv("TITAN_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _worker_budget(10) == 10
 
 
 def test_sweep_rejects_bad_inputs(sweep_data, monkeypatch):

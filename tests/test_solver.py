@@ -25,6 +25,7 @@ from titan.solver import (
     Hyperparams,
     SolverState,
     TrainedModel,
+    connectivity_penalty,
     fit,
     grad_Q,
     grad_W_r,
@@ -184,6 +185,21 @@ def test_gram_statistics_cached_and_read_only():
         assert gs.c[r] == pytest.approx(float(td.Y @ td.Y) / td.n, rel=1e-14)
     with pytest.raises(ValueError):
         gs.S[0, 0, 0] = 1.0
+
+
+def test_connectivity_penalty_uses_cached_laplacian_bit_for_bit():
+    rng = np.random.default_rng(33)
+    names = tuple(f"t{i}" for i in range(5))
+    graph = TaskGraph.from_task_edges(names, [("t0", "t1"), ("t0", "t2"), ("t2", "t3")])
+    L = graph.laplacian
+    assert graph.laplacian is L
+    with pytest.raises(ValueError):
+        L[0, 0] = 1.0
+    M = graph.adjacency
+    for _ in range(5):
+        W = rng.standard_normal((3, 5))
+        rebuilt = np.diag(M.sum(axis=1)) - M  # the per-call construction it replaces
+        assert connectivity_penalty(W, graph) == float(np.sum((W @ rebuilt) * W))
 
 
 def test_objective_shape_mismatch():
@@ -757,6 +773,16 @@ def test_hyperparams_validation():
         Hyperparams(max_iter=0)
     with pytest.raises(InputError, match="inner_w_solve"):
         Hyperparams(inner_w_solve="newton")
+    for field, bad in (("k", 2.5), ("k", True), ("max_iter", 5.0), ("seed", "x")):
+        with pytest.raises(InputError, match=f"{field} must be an integer"):
+            Hyperparams(**{field: bad})
+    for field, bad in (("lambda_w", float("nan")), ("rho", float("inf")), ("alpha", "0.1"),
+                       ("eps_dual", None), ("lambda_conn", False)):
+        with pytest.raises(InputError, match=f"{field} must be a finite number"):
+            Hyperparams(**{field: bad})
+    with pytest.raises(InputError, match="orthogonality"):
+        Hyperparams(orthogonality="no")
+    assert Hyperparams(k=np.int64(3), lambda_w=1, rho=np.float64(2.0)).k == 3
 
 
 def test_hyperparams_dict_round_trip():
