@@ -52,8 +52,8 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    train = storage.read_split(args.dataset, "train")
     hp = _load_hyperparams(args)
+    train = storage.read_split(args.dataset, "train")
     started = time.perf_counter()
     model = solver.fit(train, hp)
     elapsed = time.perf_counter() - started
@@ -118,12 +118,12 @@ def cmd_evaluate(args):
 
 
 def cmd_sweep_k(args):
-    train, test = storage.read_dataset(args.dataset)
     hp = _load_hyperparams(args)
     try:
         k_values = [int(v) for v in args.k.split(",") if v.strip()]
     except ValueError:
         raise InputError(f"--k must be a comma-separated integer list, got {args.k!r}") from None
+    train, test = storage.read_dataset(args.dataset)
     reports = evaluation.sweep_group_count(train, test, hp, k_values)
     Path(args.out).write_text(evaluation.emit_report_csv(reports), encoding="utf-8")
     for rep in reports:

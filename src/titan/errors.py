@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks on outside
+input (config field types, input text files) that raise them."""
+
+import math
+import numbers
+from pathlib import Path
 
 
 class InputError(ValueError):
@@ -7,3 +12,29 @@ class InputError(ValueError):
 
 class NumericalAbort(RuntimeError):
     """A non-finite value was produced during training (CLI exit code 3)."""
+
+
+def read_input_text(path):
+    """The text of a UTF-8 input file; a missing, directory or non-UTF-8
+    path raises InputError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise InputError(f"missing file: {path}") from None
+    except IsADirectoryError:
+        raise InputError(f"{path}: is a directory, not a file") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
+
+
+def check_field_types(obj, ints=(), reals=()):
+    """Raise InputError unless each field named in `ints` is an integer and
+    each one in `reals` a finite real number (a bool is neither)."""
+    for name in ints:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InputError(f"{name} must be an integer, got {value!r}")
+    for name in reals:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise InputError(f"{name} must be a finite number, got {value!r}")

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, read_input_text
 from .roadnet import TaskGraph
 
 log = logging.getLogger(__name__)
@@ -308,10 +308,8 @@ def parse_speed_csv(text, sensor_id, source="<speeds>"):
 
 
 def load_incidents_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_incidents_csv(fh.read(), source=str(path))
+    return parse_incidents_csv(read_input_text(path), source=str(path))
 
 
 def load_speed_csv(path, sensor_id):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_speed_csv(fh.read(), sensor_id, source=str(path))
+    return parse_speed_csv(read_input_text(path), sensor_id, source=str(path))

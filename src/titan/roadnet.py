@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, read_input_text
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,14 @@ class TaskGraph:
         return TaskGraph(tasks=tasks, adjacency=adj)
 
 
+def check_road_id(road):
+    """Reject a road id that cannot serve as a file name inside a dataset
+    or speed directory (`X_<road>.csv`, `<road>.csv`): a non-string, the
+    empty string, `.`, `..`, or one holding `/`, `\\` or NUL."""
+    if not isinstance(road, str) or road in ("", ".", "..") or any(c in road for c in "/\\\0"):
+        raise InputError(f"road id {road!r} is not a plain file name")
+
+
 def build_line_graph(network: RoadNetwork) -> TaskGraph:
     """Turn a road network into its line graph on roads.
 
@@ -159,14 +167,18 @@ def parse_edge_list(text) -> RoadNetwork:
         parts = line.split()
         if len(parts) != 3:
             raise InputError(f"edge list line {lineno}: expected 3 fields, got {len(parts)}: {line!r}")
+        try:
+            check_road_id(parts[2])
+        except InputError as exc:
+            raise InputError(f"edge list line {lineno}: {exc}") from None
         edges.append(tuple(parts))
     return RoadNetwork.from_edges(edges)
 
 
 def load_edge_list(path) -> RoadNetwork:
     """Read an edge-list file (see :func:`parse_edge_list`)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return parse_edge_list(fh.read())
-        except InputError as exc:
-            raise InputError(f"{path}: {exc}") from None
+    text = read_input_text(path)
+    try:
+        return parse_edge_list(text)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None

@@ -27,13 +27,11 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericalAbort
+from .errors import InputError, NumericalAbort, check_field_types
 from .features import MultiTaskDataset
 from .prox import clip_nonneg, norm_fro, norm_l1, norm_l21, prox_l21, soft_threshold_nonneg
 
@@ -61,14 +59,7 @@ class Hyperparams:
     orthogonality: bool = True
 
     def __post_init__(self):
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InputError(f"{name} must be an integer, got {value!r}")
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise InputError(f"{name} must be a finite number, got {value!r}")
+        check_field_types(self, _INT_FIELDS, _REAL_FIELDS)
         if not isinstance(self.orthogonality, bool):
             raise InputError(f"orthogonality must be true or false, got {self.orthogonality!r}")
         if not self.rho > 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_field_types
 from .features import MultiTaskDataset, TaskDataset
 from .roadnet import TaskGraph, build_line_graph, load_edge_list
 
@@ -34,6 +34,12 @@ class SynthConfig:
     edge_list_path: str | None = None
 
     def __post_init__(self):
+        check_field_types(self, ("T", "p", "k", "n_per_task", "seed"),
+                          ("noise_sigma", "weight_smoothness", "feature_corr"))
+        if not (self.edge_list_path is None or isinstance(self.edge_list_path, str)):
+            raise InputError(f"edge_list_path must be a path string, got {self.edge_list_path!r}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.graph_kind not in GRAPH_KINDS:
             raise InputError(f"graph_kind must be one of {GRAPH_KINDS}, got {self.graph_kind!r}")
         if self.graph_kind == "custom-edge-list":

@@ -3,13 +3,17 @@
 Oracles deliberately avoid the closed forms used by the library: prox
 operators are checked against numeric minimization of their defining
 objectives, gradients against central finite differences of the smooth
-Lagrangian, norms/metrics against explicit Python loops, and the
-Gram-statistics loss forms against residuals taken row by row.
+Lagrangian, norms/metrics against explicit Python loops, the
+Gram-statistics loss forms against residuals taken row by row, and the
+bulk CSV codec against a per-cell writer and a per-line reader.
 """
+
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
+from titan.errors import InputError
 from titan.features import MultiTaskDataset, TaskDataset
 from titan.roadnet import TaskGraph
 from titan.solver import Hyperparams, SolverState, smooth_lagrangian
@@ -153,6 +157,42 @@ def loop_grad_Q(data, state, hp):
     if hp.orthogonality:
         g += 2.0 * Q @ state.Lambda3 + 2.0 * hp.rho * Q @ (Q.T @ Q - np.eye(Q.shape[1]))
     return g
+
+
+# ----------------------------------------------------------- per-cell CSV codec
+#
+# The library formats a block of rows with one `%` and parses with
+# np.loadtxt; these format each cell and parse each line with float().
+
+
+def cell_write_matrix_csv(path, M):
+    """%.17g per cell, cells joined by ',', one line per row."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    lines = [",".join("%.17g" % v for v in row) for row in M]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def line_read_matrix_csv(path, columns=None):
+    """float() per cell; blank and '#' lines skipped; errors name the line."""
+    rows = []
+    text = Path(path).read_text(encoding="utf-8")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            row = [float(cell) for cell in line.split(",")]
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: bad numeric cell") from None
+        if rows and len(row) != len(rows[0]):
+            raise InputError(f"{path}:{lineno}: ragged row ({len(row)} cells, expected {len(rows[0])})")
+        rows.append(row)
+    if not rows:
+        raise InputError(f"{path}: no data rows")
+    M = np.asarray(rows)
+    if columns is not None and M.shape[1] != columns:
+        raise InputError(f"{path}: expected {columns} columns, got {M.shape[1]}")
+    return M
 
 
 # --------------------------------------------------------- instance builders

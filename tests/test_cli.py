@@ -350,6 +350,19 @@ def test_train_bad_hyperparameter_types_exit_2(small_ds, tmp_path, bad):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("command, config, extra, message", [
+    ("train", '{"k": 2.5}', [], "k must be an integer"),
+    ("sweep-k", '{"k": 2.5}', ["--k", "2,3"], "k must be an integer"),
+    ("sweep-k", "{}", ["--k", "2,zz"], "--k must be"),
+])
+def test_bad_config_rejected_before_the_dataset_is_read(tmp_path, capsys, command, config, extra, message):
+    cfg = tmp_path / "hp.json"
+    cfg.write_text(config + "\n", encoding="utf-8")
+    missing = tmp_path / "no-dataset"
+    rc = main([command, "--dataset", str(missing), "--config", str(cfg), "--out", str(tmp_path / "o"), *extra])
+    assert rc == 2 and message in capsys.readouterr().err
+
+
 def test_sweep_k_output_independent_of_worker_count(sweep_ds, monkeypatch, capsys, caplog):
     root, ds = sweep_ds
     outputs = {}
@@ -479,3 +492,42 @@ def test_assemble_bad_incident_header_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "ds")])
     captured = capsys.readouterr()
     assert rc == 2 and "incidents.csv:1" in captured.err
+
+
+def write_raw_inputs(root, edges):
+    """Edge list, incidents and per-road speed files for two roads r1, r2."""
+    (root / "roads.edges").write_text(edges, encoding="utf-8")
+    speeds = root / "speeds"
+    speeds.mkdir()
+    for road in ("r1", "r2"):
+        (speeds / f"{road}.csv").write_text("# start_index=0\n30\n31\n32\n", encoding="utf-8")
+    rows = ["incident_id,road_id,verification_index,duration_minutes", "i1,r1,2,30", "i2,r2,2,40"]
+    (root / "incidents.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return ["assemble", "--edges", str(root / "roads.edges"), "--incidents", str(root / "incidents.csv"),
+            "--speeds-dir", str(speeds), "--h", "2", "--t", "1", "--out", str(root / "ds")]
+
+
+@pytest.mark.parametrize("edges, message", [
+    ("v0 v1 r1\nv1 v2 r3\n", "error: missing file: "),  # no speeds/r3.csv
+    ("v0 v1 r1\nv1 v2 ../../evil\n", "is not a plain file name"),
+])
+def test_assemble_bad_road_inputs_exit_2_without_traceback(tmp_path, edges, message):
+    proc = run_python("-m", "titan", *write_raw_inputs(tmp_path, edges))
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "ds").exists()
+
+
+def test_evaluate_rejects_non_finite_model(small_ds, trained, tmp_path):
+    _, _, ds = small_ds
+    _, model = trained
+    obj = json.loads(model.read_text(encoding="utf-8"))
+    obj["Q"][0][0] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    proc = run_python("-m", "titan", "evaluate", "--dataset", str(ds), "--model", str(bad),
+                      "--out", str(tmp_path / "r.csv"))
+    assert proc.returncode == 2
+    assert "bad value for 'Q'" in proc.stderr and "Traceback" not in proc.stderr
+    assert "rmse=nan" not in proc.stdout

@@ -148,3 +148,15 @@ def test_load_edge_list(tmp_path):
     bad.write_text("a b\n", encoding="utf-8")
     with pytest.raises(InputError, match="bad.edges"):
         load_edge_list(bad)
+
+
+@pytest.mark.parametrize("road", ["..", ".", "../../evil", "a/b", "a\\b", "r\x001"])
+def test_parse_edge_list_rejects_road_ids_that_are_not_file_names(road):
+    with pytest.raises(InputError, match=r"line 2: road id .* is not a plain file name"):
+        parse_edge_list(f"v0 v1 r1\nv1 v2 {road}\n")
+    parse_edge_list(f"{road} v1 r1\n")  # vertex ids are never file names
+
+
+def test_load_edge_list_missing_file(tmp_path):
+    with pytest.raises(InputError, match="missing file"):
+        load_edge_list(tmp_path / "nope.edges")

@@ -1,7 +1,14 @@
 """Round trips and error reporting for the on-disk formats."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from helpers import cell_write_matrix_csv, line_read_matrix_csv
 
 from titan.baselines import BaselineModel
 from titan.errors import InputError
@@ -69,6 +76,115 @@ def test_matrix_csv_errors(tmp_path):
         read_matrix_csv(cols, columns=2)
 
 
+def test_matrix_csv_unreadable_text_exits_as_input_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"1,2\n3,\xe9\n")
+    with pytest.raises(InputError, match=r"latin1\.csv: not UTF-8 text"):
+        read_matrix_csv(path)
+    with pytest.raises(InputError, match="is a directory"):
+        read_matrix_csv(tmp_path)
+
+
+# Values the per-cell writer formats in its own way: signed zeros,
+# subnormals, the largest doubles, and the non-finite ones.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, float("nan"), float("inf"), float("-inf"), 0.1, 1 / 3]
+CSV_CELLS = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_subnormal=True))
+# 1x1, n x 1 and 1 x p, with n past several write blocks; then small n x p.
+CSV_SHAPES = st.one_of(
+    st.just((1, 1)),
+    st.tuples(st.integers(0, 150), st.just(1)),
+    st.tuples(st.just(1), st.integers(1, 40)),
+    st.tuples(st.integers(0, 70), st.integers(0, 6)),
+    st.tuples(st.integers(1, 6)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(M=hnp.arrays(np.float64, CSV_SHAPES, elements=CSV_CELLS))
+def test_matrix_csv_writer_bytes_match_per_cell_reference(tmp_path_factory, M):
+    root = tmp_path_factory.getbasetemp()
+    write_matrix_csv(root / "bulk.csv", M)
+    cell_write_matrix_csv(root / "cell.csv", M)
+    assert (root / "bulk.csv").read_bytes() == (root / "cell.csv").read_bytes()
+
+
+def _read_outcome(reader, path, columns):
+    try:
+        M = reader(path, columns=columns)
+    except InputError as exc:
+        return "error", str(exc)
+    return M.dtype, M.shape, M.tobytes()
+
+
+# Text a CSV could hold: numeric syntax, separators, every line break and
+# whitespace character that float() or str.splitlines() treats specially,
+# and the letters of nan/inf/infinity; raw, or as rows of such cells.
+CSV_CHARS = "0123456789+-,.e_# \t\r\n\x0b\x0cnaiftyNAIFTY\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000\u0661\x00"
+CSV_CELL_TEXT = st.one_of(
+    st.sampled_from(["1", "-2.5", "1e3", " 3 ", "", "#", "1_0", "\t4", "nan", "5\x0c", "\x0b6",
+                     "7\x85", "\u20288", "\x1f9", "\u0661", "1 2", ".", ".5e-3"]),
+    st.text(alphabet=CSV_CHARS, max_size=4),
+)
+CSV_ROWS = st.lists(st.lists(CSV_CELL_TEXT, min_size=1, max_size=4).map(",".join), max_size=6)
+CSV_TEXT = st.one_of(
+    st.text(alphabet=CSV_CHARS, max_size=40),
+    CSV_ROWS.map("\n".join),
+    CSV_ROWS.map("\r\n".join),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=CSV_TEXT, columns=st.sampled_from([None, 1, 2]))
+def test_matrix_csv_reader_matches_per_line_reference(tmp_path_factory, text, columns):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _read_outcome(read_matrix_csv, path, columns) == _read_outcome(line_read_matrix_csv, path, columns)
+
+
+@pytest.mark.parametrize("text", [
+    "1,2\n  \n3,4\n",      # whitespace-only line
+    "1,2\n\t\n3,4\n",
+    "# header\n1,2\n",       # comment line
+    "1,2\n# note\n3,4\n",
+    "1,2\f\n3,4\n",         # form feed: a line break for splitlines
+    "1\f2\n",
+    "1\x0b2\n",             # vertical tab
+    "1_0,2\n",              # digit separator
+    "1,2 # x\n",            # trailing comment: rejected, not stripped
+    "1,2\n3\n",             # ragged
+    "1,,2\n",               # empty cell
+    "",                     # no data at all
+    "\n\n",
+    "1,2\r3,4\r",            # old Mac line ends
+    "nan,-inf,INFINITY\n",
+    "1,5\f,1\n",           # a line break inside a row: ragged
+    "1,\x1f9\n",           # unit separator: whitespace to numpy only
+    "1,\u0661\n",          # a non-ASCII digit float() takes
+])
+def test_matrix_csv_reader_named_cases_match_reference(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _read_outcome(read_matrix_csv, path, None) == _read_outcome(line_read_matrix_csv, path, None)
+
+
+def test_matrix_csv_reader_keeps_trailing_comment_rejected(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1,2\n3,4 # x\n", encoding="utf-8")
+    with pytest.raises(InputError, match=r"m\.csv:2: bad numeric cell"):
+        read_matrix_csv(path)
+
+
+def test_matrix_csv_writer_named_values_match_reference(tmp_path):
+    cases = [np.array([EDGE_VALUES]), np.array(EDGE_VALUES)[:, None], np.array([[-0.0]]),
+             np.zeros((0, 3)), np.full((130, 2), 5e-324)]
+    for M in cases:
+        write_matrix_csv(tmp_path / "bulk.csv", M)
+        cell_write_matrix_csv(tmp_path / "cell.csv", M)
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+    assert (tmp_path / "bulk.csv").read_text().splitlines()[0] == "4.9406564584124654e-324,4.9406564584124654e-324"
+
+
 # ------------------------------------------------------------------- dataset
 
 
@@ -128,6 +244,17 @@ def test_dataset_reader_errors(tmp_path):
     (tmp_path / "graph.edges").write_text("# none\na b\n", encoding="utf-8")
     graph, h, t = read_task_graph(tmp_path)
     assert graph.tasks == ("a", "b") and (h, t) == (2, 2)
+    for meta, message in [
+        ('{"tasks": ["a", "../../evil"], "h": 2, "t": 2}', "not a plain file name"),
+        ('{"tasks": ["a", 7], "h": 2, "t": 2}', "not a plain file name"),
+        ('{"tasks": [], "h": 2, "t": 2}', "non-empty list"),
+        ('{"tasks": ["a", "b"], "h": "x", "t": 2}', "must be integers"),
+        ('["a", "b"]', "JSON object"),
+    ]:
+        (tmp_path / "tasks.json").write_text(meta + "\n", encoding="utf-8")
+        with pytest.raises(InputError, match=message):
+            read_task_graph(tmp_path)
+    (tmp_path / "tasks.json").write_text('{"tasks": ["a", "b"], "h": 2, "t": 2}\n', encoding="utf-8")
     with pytest.raises(InputError, match="missing file"):
         read_dataset(tmp_path)  # train/ split absent
 
@@ -195,6 +322,47 @@ def test_model_errors(tmp_path):
         read_model(path)
     path.write_text("not json", encoding="utf-8")
     with pytest.raises(InputError, match="invalid JSON"):
+        read_model(path)
+    path.write_text("[1, 2]\n", encoding="utf-8")
+    with pytest.raises(InputError, match="must hold a JSON object"):
+        read_model(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("Q", [[float("nan"), 0.0], [0.0, 1.0], [1.0, 0.0]], "bad value for 'Q'"),
+    ("W", [[float("inf")], [1.0]], "bad value for 'W'"),
+    ("Q", [[1.0, 0.0], [0.0]], "bad value for 'Q'"),
+    ("Q", [[1.0, 0.0], [0.0, 1.0]], "shapes inconsistent"),
+    ("k", 0, "bad value for 'k'"),
+    ("tasks", "a", "bad value for 'tasks'"),
+    ("iterations", "x", "bad value for 'iterations'"),
+    ("residuals", [0, 0], "bad value for 'residuals'"),
+    ("hyperparams", [], "bad value for 'hyperparams'"),
+])
+def test_trained_model_rejects_bad_fields(tmp_path, field, value, message):
+    obj = {"p": 3, "k": 2, "tasks": ["a"], "Q": [[1, 0], [0, 1], [0, 0]], "W": [[1], [1]],
+           "hyperparams": {}, "converged": True, "iterations": 1,
+           "residuals": {"primal": 0, "dual": 0}}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({**obj, field: value}), encoding="utf-8")
+    with pytest.raises(InputError, match=message):
+        read_model(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("weights", [[1.0, float("nan")], [0.0, 1.0]], "bad value for 'weights'"),
+    ("weights", [[1.0, 2.0]], "shapes inconsistent"),
+    ("p", True, "bad value for 'p'"),
+    ("lambda", float("inf"), "bad value for 'lambda'"),
+])
+def test_baseline_model_rejects_bad_fields(tmp_path, field, value, message):
+    obj = {"kind": "ridge", "p": 2, "tasks": ["a", "b"], "weights": [[1.0, 2.0], [3.0, 4.0]],
+           "lambda": 0.1}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert read_model(path).weights.shape == (2, 2)
+    path.write_text(json.dumps({**obj, field: value}), encoding="utf-8")
+    with pytest.raises(InputError, match=message):
         read_model(path)
 
 
