@@ -1,7 +1,7 @@
 """Multi-task traffic incident duration prediction with grouped
 temporal feature learning."""
 
-from .baselines import BaselineModel, baseline_predict, fit_baseline, fit_lasso, fit_nmtl, fit_ridge
+from .baselines import BaselineModel, fit_baseline, fit_lasso, fit_nmtl, fit_ridge
 from .errors import InputError, NumericalAbort
 from .evaluation import (
     MetricsReport,
@@ -44,7 +44,6 @@ __all__ = [
     "TaskGraph",
     "TrainedModel",
     "assemble_dataset",
-    "baseline_predict",
     "build_line_graph",
     "construct_features",
     "evaluate",

@@ -31,6 +31,7 @@ class BaselineModel:
     weights: np.ndarray = field(repr=False)  # p x T, column per task
     tasks: tuple = ()
     lam: float = 0.0
+    k = 0  # group count in reports: baselines are ungrouped (a class constant, not a field)
 
     def __post_init__(self):
         if self.kind not in BASELINE_KINDS:
@@ -47,6 +48,14 @@ class BaselineModel:
     @property
     def p(self):
         return self.weights.shape[0]
+
+    @property
+    def label(self):
+        return self.kind
+
+    def coef(self, r):
+        """Weights of task r, length p."""
+        return self.weights[:, r]
 
 
 def fit_ridge(task: TaskDataset, lam):
@@ -175,11 +184,3 @@ def default_grid(kind):
         return NMTL_GRID
     raise InputError(f"unknown baseline kind {kind!r}")
 
-
-def baseline_predict(model: BaselineModel, X, task):
-    X = np.asarray(X, dtype=float)
-    if task not in model.tasks:
-        raise InputError(f"unknown task {task!r}; model covers {list(model.tasks)}")
-    if X.ndim != 2 or X.shape[1] != model.p:
-        raise InputError(f"X must have {model.p} columns, got shape {X.shape}")
-    return X @ model.weights[:, model.tasks.index(task)]

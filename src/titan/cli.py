@@ -31,9 +31,7 @@ EXIT_NUMERICAL = 3
 
 def _load_hyperparams(args):
     hp = storage.read_hyperparams(args.config) if args.config else solver.Hyperparams()
-    if getattr(args, "seed", None) is not None:
-        hp = dataclasses.replace(hp, seed=args.seed)
-    if getattr(args, "no_orth", False):
+    if args.no_orth:
         hp = dataclasses.replace(hp, orthogonality=False)
     return hp
 
@@ -86,10 +84,7 @@ def cmd_predict(args):
     model = storage.read_model(args.model)
     X = storage.read_matrix_csv(args.x)
     started = time.perf_counter()
-    if isinstance(model, solver.TrainedModel):
-        yhat = solver.predict(model, X, args.task)
-    else:
-        yhat = baselines.baseline_predict(model, X, args.task)
+    yhat = solver.predict(model, X, args.task)
     elapsed = time.perf_counter() - started
     storage.write_matrix_csv(args.out, np.asarray(yhat)[:, None])
     log.info("predicted %d rows, mean latency %.4f ms/row", len(yhat), 1000.0 * elapsed / len(yhat))
@@ -182,7 +177,6 @@ def build_parser():
     p.add_argument("--dataset", required=True, help="dataset directory")
     p.add_argument("--config", help="Hyperparams JSON path (defaults used when omitted)")
     p.add_argument("--out", required=True, help="model JSON to write")
-    p.add_argument("--seed", type=int, help="override the hyperparameter seed")
     p.add_argument("--no-orth", action="store_true",
                    help="disable the orthogonality penalty path (debug/ablation)")
     p.set_defaults(func=cmd_train)
@@ -213,7 +207,6 @@ def build_parser():
     p.add_argument("--config", help="base Hyperparams JSON")
     p.add_argument("--k", required=True, help="comma-separated group counts")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
     p.add_argument("--no-orth", action="store_true")
     p.set_defaults(func=cmd_sweep_k)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import BaselineModel, baseline_predict
+from .baselines import BaselineModel
 from .errors import InputError
 from .features import MultiTaskDataset
 from .solver import Hyperparams, TrainedModel, fit, predict
@@ -82,13 +82,9 @@ def measure(y, yhat):
     return MetricTriple(rmse(y, yhat), mae(y, yhat), mape(y, yhat))
 
 
-def evaluate(model, data: MultiTaskDataset, method=None) -> MetricsReport:
+def evaluate(model, data: MultiTaskDataset) -> MetricsReport:
     """Score a trained model (grouped or baseline) on every task."""
-    if isinstance(model, TrainedModel):
-        predictor, label, k = predict, method or "titan", model.hyperparams.k
-    elif isinstance(model, BaselineModel):
-        predictor, label, k = baseline_predict, method or model.kind, 0
-    else:
+    if not isinstance(model, (TrainedModel, BaselineModel)):
         raise InputError(f"cannot evaluate object of type {type(model).__name__}")
     if tuple(model.tasks) != tuple(data.graph.tasks):
         raise InputError(
@@ -97,19 +93,18 @@ def evaluate(model, data: MultiTaskDataset, method=None) -> MetricsReport:
     per_task = {}
     ys, yhats = [], []
     for td in data.tasks:
-        yhat = predictor(model, td.X, td.road_id)
+        yhat = predict(model, td.X, td.road_id)
         per_task[td.road_id] = measure(td.Y, yhat)
         ys.append(td.Y)
         yhats.append(yhat)
     overall = measure(np.concatenate(ys), np.concatenate(yhats))
-    return MetricsReport(method=label, per_task=per_task, k=k, overall=overall)
+    return MetricsReport(method=model.label, per_task=per_task, k=model.k, overall=overall)
 
 
 def pooled_rmse(model, data: MultiTaskDataset):
     """Test RMSE over all tasks' pairs concatenated (full precision)."""
-    predictor = predict if isinstance(model, TrainedModel) else baseline_predict
     ys = np.concatenate([td.Y for td in data.tasks])
-    yhats = np.concatenate([predictor(model, td.X, td.road_id) for td in data.tasks])
+    yhats = np.concatenate([predict(model, td.X, td.road_id) for td in data.tasks])
     return rmse(ys, yhats)
 
 
@@ -221,7 +216,7 @@ def _run_forked(train, test, hp_base, ks, workers):
 
 
 def sweep_group_count(train: MultiTaskDataset, test: MultiTaskDataset, hp_base: Hyperparams, k_values):
-    """Train one model per k (shared seed) and score each on the test split.
+    """Train one model per k and score each on the test split.
 
     Fits run in up to TITAN_THREADS forked worker processes (default:
     the CPUs this process may use). The statistics every fit shares are

@@ -35,11 +35,9 @@ from .errors import InputError, NumericalAbort, check_field_types
 from .features import MultiTaskDataset
 from .prox import clip_nonneg, norm_fro, norm_l1, norm_l21, prox_l21, soft_threshold_nonneg
 
-W_SOLVE_MODES = ("exact", "gradient")
 MAX_BACKTRACKS = 30
-GRADIENT_INNER_STEPS = 25
 # Hyperparams fields that must be integers (not bool) and finite reals.
-_INT_FIELDS = ("k", "max_iter", "seed")
+_INT_FIELDS = ("k", "max_iter")
 _REAL_FIELDS = ("lambda_w", "lambda_q", "lambda_conn", "rho", "alpha", "eps_primal", "eps_dual")
 
 
@@ -54,8 +52,6 @@ class Hyperparams:
     max_iter: int = 2000
     eps_primal: float = 1e-3
     eps_dual: float = 1e-3
-    inner_w_solve: str = "exact"
-    seed: int = 0
     orthogonality: bool = True
 
     def __post_init__(self):
@@ -72,8 +68,6 @@ class Hyperparams:
             raise InputError("alpha and tolerances must be positive")
         if self.max_iter < 1:
             raise InputError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.inner_w_solve not in W_SOLVE_MODES:
-            raise InputError(f"inner_w_solve must be one of {W_SOLVE_MODES}, got {self.inner_w_solve!r}")
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -116,6 +110,7 @@ class TrainedModel:
     final_residuals: tuple = (np.inf, np.inf)
     residual_history: tuple = field(default=(), repr=False, compare=False)
     objective_history: tuple = field(default=(), repr=False, compare=False)
+    label = "titan"  # method name in reports (a class constant, not a field)
 
     @property
     def p(self):
@@ -129,6 +124,10 @@ class TrainedModel:
     def orth_gap(self):
         """Final ||Q^T Q - I||_F (reported, not enforced)."""
         return orthogonality_gap(self.Q)
+
+    def coef(self, r):
+        """Effective weights Q W_r of task r, length p."""
+        return self.Q @ self.W[:, r]
 
 
 def orthogonality_gap(Q):
@@ -218,52 +217,18 @@ def w_systems(data: MultiTaskDataset, state: SolverState, hp: Hyperparams):
     return A, b0
 
 
-def w_system(r, data: MultiTaskDataset, state: SolverState, hp: Hyperparams, systems=None):
-    """k-by-k SPD system (A, b) whose solution minimizes the W_r subproblem.
+def solve_W_r_exact(r, data: MultiTaskDataset, state: SolverState, hp: Hyperparams, systems=None):
+    """Minimize the W_r subproblem by its k-by-k SPD normal equations.
 
     `systems` is w_systems(data, state, hp) when the caller already holds
     it for the current Q, U_W and Lambda1.
     """
     A, b0 = w_systems(data, state, hp) if systems is None else systems
-    return A[r], b0[r] + 2.0 * hp.lambda_conn * (state.W @ data.graph.adjacency[:, r])
-
-
-def solve_W_r_exact(r, data: MultiTaskDataset, state: SolverState, hp: Hyperparams, systems=None):
-    """Minimize the W_r subproblem by its k-by-k SPD normal equations."""
-    A, b = w_system(r, data, state, hp, systems)
+    b = b0[r] + 2.0 * hp.lambda_conn * (state.W @ data.graph.adjacency[:, r])
     try:
-        return np.linalg.solve(A, b)
+        return np.linalg.solve(A[r], b)
     except np.linalg.LinAlgError as exc:  # unreachable for rho > 0
         raise NumericalAbort(f"W subproblem solve failed for task {data.tasks[r].road_id!r}: {exc}") from None
-
-
-def power_iteration_sym(H, iters=60):
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    v = np.ones(H.shape[0]) / np.sqrt(H.shape[0])
-    lam = 0.0
-    for _ in range(iters):
-        hv = H @ v
-        lam = float(v @ hv)
-        nrm = np.linalg.norm(hv)
-        if nrm == 0:
-            return 0.0
-        v = hv / nrm
-    return lam
-
-
-def solve_W_r_gradient(r, data: MultiTaskDataset, state: SolverState, hp: Hyperparams, systems=None):
-    """Approximate the W_r subproblem by fixed-count gradient descent.
-
-    Step size 1/L with L from power iteration on the subproblem Hessian;
-    mirrors the exact solve without forming the normal-equation solve.
-    """
-    A, b = w_system(r, data, state, hp, systems)
-    L = power_iteration_sym(A)
-    step = 1.0 / (1.05 * L)
-    w = state.W[:, r].copy()
-    for _ in range(GRADIENT_INNER_STEPS):
-        w = w - step * (A @ w - b)
-    return w
 
 
 def grad_Q(data: MultiTaskDataset, state: SolverState, hp: Hyperparams):
@@ -327,19 +292,6 @@ def residuals(state_prev: SolverState, state_new: SolverState, hp: Hyperparams):
         norm_fro(state_new.U_W - state_prev.U_W) + norm_fro(state_new.U_Q - state_prev.U_Q)
     )
     return p_res, d_res
-
-
-def identity_q0(p, k, seed):
-    """Simple feasible start: first k identity columns plus uniform
-    [0, 0.01] noise, columns normalized (non-negative, near-orthonormal).
-
-    Kept as a reference initializer; in practice it parks every column
-    on the lowest-index features and the solver then reliably falls into
-    support-collapsed local minima, so fit defaults to structured_q0.
-    """
-    rng = np.random.default_rng(seed)
-    Q = np.eye(p)[:, :k] + rng.uniform(0.0, 0.01, size=(p, k))
-    return Q / np.linalg.norm(Q, axis=0)
 
 
 def _segment_contiguous(rows, weights, k):
@@ -432,10 +384,9 @@ def fit(data: MultiTaskDataset, hp: Hyperparams, q0=None) -> TrainedModel:
     """Train by ADMM.
 
     Per outer iteration: one Gauss-Seidel BCD sweep over task weights in
-    task order (exact SPD solve or fixed-count gradient descent per
-    hp.inner_w_solve, on systems built for all tasks at once), one
-    projected backtracking gradient step on Q, proximal dual refresh,
-    multiplier ascent, then the residual check.
+    task order (exact SPD solves, on systems built for all tasks at
+    once), one projected backtracking gradient step on Q, proximal dual
+    refresh, multiplier ascent, then the residual check.
     Stops early once both residuals fall below their tolerances. Any
     non-finite value aborts with a diagnostic naming the variable.
     """
@@ -443,14 +394,13 @@ def fit(data: MultiTaskDataset, hp: Hyperparams, q0=None) -> TrainedModel:
         raise InputError(f"group count k={hp.k} exceeds feature dimension p={data.p}")
     T = data.n_tasks
     state = initial_state(data, hp, q0=q0)
-    solve_w = solve_W_r_exact if hp.inner_w_solve == "exact" else solve_W_r_gradient
 
     converged = False
     for it in range(1, hp.max_iter + 1):
         state.iteration = it
         systems = w_systems(data, state, hp)
         for r in range(T):
-            state.W[:, r] = solve_w(r, data, state, hp, systems)
+            state.W[:, r] = solve_W_r_exact(r, data, state, hp, systems)
         g = grad_Q(data, state, hp)
         new_Q, stalled = update_Q(data, state, g, hp)
         state.Q = new_Q
@@ -481,12 +431,12 @@ def fit(data: MultiTaskDataset, hp: Hyperparams, q0=None) -> TrainedModel:
     )
 
 
-def predict(model: TrainedModel, X, task):
-    """Predicted durations X Q W_task for one task."""
+def predict(model, X, task):
+    """Predicted durations X model.coef(task) for one task, for a grouped
+    (TrainedModel) or a baseline (BaselineModel) model."""
     X = np.asarray(X, dtype=float)
     if task not in model.tasks:
         raise InputError(f"unknown task {task!r}; model covers {list(model.tasks)}")
     if X.ndim != 2 or X.shape[1] != model.p:
         raise InputError(f"X must have {model.p} columns, got shape {X.shape}")
-    r = model.tasks.index(task)
-    return X @ (model.Q @ model.W[:, r])
+    return X @ model.coef(model.tasks.index(task))

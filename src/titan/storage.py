@@ -30,6 +30,9 @@ SPLITS = ("train", "test")
 # no faster (the %.17g conversions dominate) and only raise peak memory:
 # on a 24-task, 500-row dataset, 2048 rows cost synth 1.4 MB of peak RSS.
 WRITE_BLOCK_ROWS = 64
+# Hyperparameters that model files written by earlier versions still hold;
+# neither ever changed a fit, so read_model drops them.
+RETIRED_HYPERPARAMS = ("seed", "inner_w_solve")
 
 
 def _fmt_matrix(M):
@@ -282,17 +285,21 @@ def read_model(path):
         raise InputError(f"{path}: matrix shapes inconsistent with declared p/k/tasks")
     if not isinstance(obj["hyperparams"], dict):
         raise InputError(f"{path}: bad value for 'hyperparams'")
-    return TrainedModel(
+    stored = {key: v for key, v in obj["hyperparams"].items() if key not in RETIRED_HYPERPARAMS}
+    model = TrainedModel(
         Q=Q,
         W=W,
         tasks=tasks,
-        hyperparams=Hyperparams.from_dict(obj["hyperparams"]),
+        hyperparams=Hyperparams.from_dict(stored),
         converged=bool(obj["converged"]),
         iterations=_model_value(path, obj, "iterations", int),
         final_residuals=_model_value(
             path, obj, "residuals", lambda r: (float(r["primal"]), float(r["dual"]))
         ),
     )
+    if model.hyperparams.k != k:
+        raise InputError(f"{path}: bad value for 'hyperparams'")
+    return model
 
 
 def read_hyperparams(path):

@@ -18,6 +18,12 @@ from .features import MultiTaskDataset, TaskDataset
 from .roadnet import TaskGraph, build_line_graph, load_edge_list
 
 GRAPH_KINDS = ("star", "path", "complete", "custom-edge-list")
+# Cap on the values a synthetic dataset holds, T * n_per_task * (p + 1)
+# (features plus label). generate keeps every value in memory as a
+# float64 and write_dataset stores each as ~20 bytes of %.17g text, so
+# 1e8 values is already ~0.8 GB of RAM and ~2 GB of CSV; a larger request
+# is a typo, and is refused before any of it is allocated.
+MAX_SYNTH_VALUES = 10**8
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,10 @@ class SynthConfig:
             raise InputError(f"weight_smoothness must be positive, got {self.weight_smoothness}")
         if not 0 <= self.feature_corr < 1:
             raise InputError(f"feature_corr must be in [0, 1), got {self.feature_corr}")
+        tasks = 1 if self.graph_kind == "custom-edge-list" else self.T  # an edge list sets T
+        values = tasks * self.n_per_task * (self.p + 1)
+        if values > MAX_SYNTH_VALUES:
+            raise InputError(f"dataset too large: T*n_per_task*(p+1) = {values} values, cap {MAX_SYNTH_VALUES}")
 
 
 @dataclass(frozen=True, eq=False)

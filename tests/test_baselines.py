@@ -9,7 +9,6 @@ from titan.baselines import (
     LASSO_GRID,
     NMTL_GRID,
     RIDGE_GRID,
-    baseline_predict,
     default_grid,
     fit_baseline,
     fit_lasso,
@@ -21,6 +20,7 @@ from titan.baselines import (
 from titan.errors import InputError
 from titan.features import MultiTaskDataset, TaskDataset
 from titan.roadnet import TaskGraph
+from titan.solver import predict
 
 
 def single_task(rng, n=50, p=6, sparse=False):
@@ -251,12 +251,12 @@ def test_baseline_model_validation():
 def test_baseline_predict_hand_value_and_errors():
     model = BaselineModel(kind="ridge", weights=np.array([[1.0, 0.0], [2.0, 1.0]]),
                           tasks=("a", "b"), lam=1.0)
-    got = baseline_predict(model, np.array([[3.0, 4.0]]), "a")
+    got = predict(model, np.array([[3.0, 4.0]]), "a")
     assert abs(got[0] - (3.0 * 1.0 + 4.0 * 2.0)) < 1e-12
     with pytest.raises(InputError, match="unknown task"):
-        baseline_predict(model, np.zeros((1, 2)), "zzz")
+        predict(model, np.zeros((1, 2)), "zzz")
     with pytest.raises(InputError, match="columns"):
-        baseline_predict(model, np.zeros((1, 3)), "a")
+        predict(model, np.zeros((1, 3)), "a")
 
 
 def test_baseline_predict_matches_loop_oracle():
@@ -264,7 +264,7 @@ def test_baseline_predict_matches_loop_oracle():
     W = rng.standard_normal((5, 2))
     model = BaselineModel(kind="lasso", weights=W, tasks=("a", "b"), lam=0.1)
     X = rng.standard_normal((4, 5))
-    got = baseline_predict(model, X, "b")
+    got = predict(model, X, "b")
     for i in range(4):
         want = sum(X[i, j] * W[j, 1] for j in range(5))
         assert abs(got[i] - want) < 1e-12

@@ -134,6 +134,10 @@ def test_synth_invalid_config_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "error:" in captured.err and "divide" in captured.err
+    for huge in ({"T": 2**70}, {"p": 2**70, "k": 1}):
+        cfg = write_json(tmp_path / "huge.json", huge)
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "ds")]) == 2
+        assert "too large" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- train
@@ -232,7 +236,11 @@ def test_predict_with_baseline_model(small_ds, tmp_path):
     write_matrix_csv(x_path, test.tasks[0].X[:3])
     out = tmp_path / "pred.csv"
     assert main(["predict", "--model", str(model_path), "--x", str(x_path),
-                 "--task", "r00", "--out", str(out)]) == 0
+                 "--task", "r01", "--out", str(out)]) == 0
+    want = tmp_path / "want.csv"
+    X = read_matrix_csv(x_path)
+    write_matrix_csv(want, (X @ read_model(model_path).weights[:, 1])[:, None])
+    assert out.read_bytes() == want.read_bytes()
     assert read_matrix_csv(out, columns=1).shape == (3, 1)
 
 
@@ -348,6 +356,51 @@ def test_train_bad_hyperparameter_types_exit_2(small_ds, tmp_path, bad):
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "m.json").exists()
+
+
+def test_model_with_retired_hyperparams_runs_every_model_command(small_ds, trained, tmp_path):
+    """A model file written before seed and inner_w_solve were removed."""
+    _, _, ds = small_ds
+    _, model = trained
+    obj = json.loads(model.read_text(encoding="utf-8"))
+    obj["hyperparams"].update(seed=0, inner_w_solve="gradient")
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    x_path = ds / "test" / "X_r00.csv"
+    outputs = {}
+    for tag, path in (("new", model), ("old", old)):
+        for command, extra in (("evaluate", ["--dataset", str(ds)]),
+                               ("predict", ["--x", str(x_path), "--task", "r00"]),
+                               ("report-groups", [])):
+            out = tmp_path / f"{tag}-{command}.out"
+            argv = [command, "--model", str(path), *extra, "--out", str(out)]
+            assert main(argv) == 0
+            outputs[tag, command] = out.read_bytes()
+    for command in ("evaluate", "predict", "report-groups"):
+        assert outputs["old", command] == outputs["new", command]
+
+
+@pytest.mark.parametrize("config", ['{"seed": 1}', '{"inner_w_solve": "exact"}'])
+@pytest.mark.parametrize("command", ["train", "sweep-k"])
+def test_config_with_retired_hyperparams_exits_2(small_ds, tmp_path, config, command):
+    _, _, ds = small_ds
+    cfg = tmp_path / "hp.json"
+    cfg.write_text(config + "\n", encoding="utf-8")
+    extra = ["--k", "2"] if command == "sweep-k" else []
+    proc = run_python("-m", "titan", command, "--dataset", str(ds), "--config", str(cfg),
+                      "--out", str(tmp_path / "o"), *extra)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep-k"])
+def test_train_and_sweep_take_no_seed_flag(small_ds, tmp_path, command, capsys):
+    _, _, ds = small_ds
+    extra = ["--k", "2"] if command == "sweep-k" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--dataset", str(ds), *extra, "--seed", "1", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2 and "--seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, config, extra, message", [

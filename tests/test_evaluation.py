@@ -116,8 +116,6 @@ def test_evaluate_trained_model_labels_and_k(default_run):
     direct = measure(td.Y, predict(model, td.X, td.road_id))
     assert rep.per_task[td.road_id] == direct
     assert rep.overall is not None
-    named = evaluate(model, test, method="grouped")
-    assert named.method == "grouped"
 
 
 def test_evaluate_baseline_has_k_zero(default_run):

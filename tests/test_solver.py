@@ -18,7 +18,7 @@ from helpers import (
     random_state,
 )
 from titan.errors import InputError, NumericalAbort
-from titan.evaluation import pooled_rmse, rmse
+from titan.evaluation import rmse
 from titan.features import MultiTaskDataset, TaskDataset
 from titan.roadnet import TaskGraph
 from titan.solver import (
@@ -29,7 +29,6 @@ from titan.solver import (
     fit,
     grad_Q,
     grad_W_r,
-    identity_q0,
     initial_state,
     objective,
     orthogonality_gap,
@@ -37,7 +36,6 @@ from titan.solver import (
     residuals,
     smooth_lagrangian,
     solve_W_r_exact,
-    solve_W_r_gradient,
     structured_q0,
     update_Q,
     update_duals,
@@ -342,28 +340,6 @@ def test_solve_w_exact_matches_gradient_descent_oracle():
     np.testing.assert_allclose(got, w, atol=1e-5)
 
 
-def test_gradient_mode_approximates_exact_solve():
-    train, _, _ = generate(SynthConfig(T=3, p=12, k=3, n_per_task=80, noise_sigma=1.0,
-                                       graph_kind="path", seed=9))
-    hp = Hyperparams(k=3)
-    rng = np.random.default_rng(13)
-    state = initial_state(train, hp)
-    state.W = 0.1 * rng.standard_normal(state.W.shape)
-    we = solve_W_r_exact(0, train, state, hp)
-    wg = solve_W_r_gradient(0, train, state, hp)
-    assert np.max(np.abs(we - wg)) < 1e-6
-
-
-def test_gradient_mode_full_fit_tracks_exact():
-    train, test, _ = generate(SynthConfig(T=3, p=12, k=3, n_per_task=80, noise_sigma=1.0,
-                                          graph_kind="path", seed=9))
-    me = fit(train, Hyperparams(k=3, max_iter=400))
-    mg = fit(train, Hyperparams(k=3, max_iter=400, inner_w_solve="gradient"))
-    np.testing.assert_allclose(me.W, mg.W, atol=1e-8)
-    np.testing.assert_allclose(me.Q, mg.Q, atol=1e-8)
-    assert abs(pooled_rmse(me, test) - pooled_rmse(mg, test)) < 1e-8
-
-
 # ------------------------------------------------------------------ Q update
 
 
@@ -545,14 +521,6 @@ def test_residuals_orthogonality_flag_drops_gram_term():
 
 
 # -------------------------------------------------------------- initializers
-
-
-def test_identity_q0_feasible():
-    Q = identity_q0(8, 3, seed=0)
-    assert Q.shape == (8, 3)
-    assert np.all(Q >= 0)
-    np.testing.assert_allclose(np.linalg.norm(Q, axis=0), 1.0, atol=1e-12)
-    assert orthogonality_gap(Q) < 0.05
 
 
 def test_structured_q0_feasible_and_deterministic():
@@ -771,9 +739,7 @@ def test_hyperparams_validation():
         Hyperparams(eps_primal=0.0)
     with pytest.raises(InputError, match="max_iter"):
         Hyperparams(max_iter=0)
-    with pytest.raises(InputError, match="inner_w_solve"):
-        Hyperparams(inner_w_solve="newton")
-    for field, bad in (("k", 2.5), ("k", True), ("max_iter", 5.0), ("seed", "x")):
+    for field, bad in (("k", 2.5), ("k", True), ("max_iter", 5.0)):
         with pytest.raises(InputError, match=f"{field} must be an integer"):
             Hyperparams(**{field: bad})
     for field, bad in (("lambda_w", float("nan")), ("rho", float("inf")), ("alpha", "0.1"),
@@ -786,7 +752,9 @@ def test_hyperparams_validation():
 
 
 def test_hyperparams_dict_round_trip():
-    hp = Hyperparams(lambda_w=0.3, k=4, inner_w_solve="gradient", orthogonality=False)
+    hp = Hyperparams(lambda_w=0.3, k=4, orthogonality=False)
     assert Hyperparams.from_dict(hp.to_dict()) == hp
-    with pytest.raises(InputError, match="bad hyperparameter"):
-        Hyperparams.from_dict({"k": 3, "bogus": 1})
+    assert len(hp.to_dict()) == 10
+    for bad in ({"k": 3, "bogus": 1}, {"seed": 1}, {"inner_w_solve": "exact"}):
+        with pytest.raises(InputError, match="bad hyperparameter"):
+            Hyperparams.from_dict(bad)

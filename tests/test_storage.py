@@ -273,7 +273,7 @@ def test_trained_model_round_trip(tmp_path):
         Q=np.abs(rng.standard_normal((6, 2))),
         W=rng.standard_normal((2, 3)),
         tasks=("a", "b", "c"),
-        hyperparams=Hyperparams(k=2, lambda_w=0.25, inner_w_solve="gradient"),
+        hyperparams=Hyperparams(k=2, lambda_w=0.25),
         converged=True,
         iterations=123,
         final_residuals=(1.5e-4, 2.5e-6),
@@ -319,6 +319,12 @@ def test_model_errors(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(InputError, match="shapes inconsistent"):
+        read_model(path)
+    five = [[float(i == j) for j in range(5)] for i in range(5)]
+    path.write_text(json.dumps({"p": 5, "k": 5, "tasks": ["a"], "Q": five, "W": [[1.0]] * 5,
+                                "hyperparams": {"k": 2}, "converged": True, "iterations": 1,
+                                "residuals": {"primal": 0, "dual": 0}}), encoding="utf-8")
+    with pytest.raises(InputError, match="bad value for 'hyperparams'"):
         read_model(path)
     path.write_text("not json", encoding="utf-8")
     with pytest.raises(InputError, match="invalid JSON"):

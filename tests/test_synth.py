@@ -6,6 +6,7 @@ import pytest
 from titan.errors import InputError
 from titan.evaluation import rmse
 from titan.synth import (
+    MAX_SYNTH_VALUES,
     GroundTruth,
     SynthConfig,
     ar1_rows,
@@ -43,6 +44,16 @@ def test_config_validation():
         small_config(feature_corr=1.0)
     with pytest.raises(InputError, match="edge_list_path"):
         small_config(graph_kind="custom-edge-list")
+
+
+def test_config_rejects_absurd_sizes_before_allocating():
+    # path24, the largest benchmark dataset, holds 24 * 500 * 61 values
+    assert 24 * 500 * 61 * 100 < MAX_SYNTH_VALUES
+    for kw in ({"T": 2**70}, {"p": 2**70, "k": 1}, {"n_per_task": 2**70},
+               {"T": 1000, "n_per_task": 10**4, "p": 10, "k": 1}):
+        with pytest.raises(InputError, match="too large"):
+            small_config(**kw)
+    small_config(T=1000, n_per_task=10**4, p=8, k=1)  # 9e7 values: under the cap (not generated)
 
 
 def test_task_graph_topologies():
