@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InputError
 from .features import MultiTaskDataset, TaskDataset
-from .prox import norm_l1, norm_l21, prox_l21, soft_threshold
+from .prox import norm_l21, prox_l21, soft_threshold
 
 BASELINE_KINDS = ("ridge", "lasso", "nmtl")
 FISTA_TOL = 1e-8

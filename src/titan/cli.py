@@ -178,7 +178,7 @@ def build_parser():
     p.add_argument("--config", help="Hyperparams JSON path (defaults used when omitted)")
     p.add_argument("--out", required=True, help="model JSON to write")
     p.add_argument("--no-orth", action="store_true",
-                   help="disable the orthogonality penalty path (debug/ablation)")
+                   help="drop the orthogonality constraint: the Q step only clips to Q >= 0 (ablation)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("train-baseline", help="train a reference model over its default grid")

@@ -1,7 +1,7 @@
 """Joint group/weight solver for multi-task duration regression.
 
 The model couples a p×k non-negative grouping matrix Q with
-near-orthonormal columns and a k×T task-weight matrix W:
+orthonormal columns and a k×T task-weight matrix W:
 
     min  sum_r ||X_r Q W_r - Y_r||^2 / n_r  + lambda_w ||W||_{2,1}
          + lambda_q ||Q||_1
@@ -9,9 +9,10 @@ near-orthonormal columns and a k×T task-weight matrix W:
     s.t. Q^T Q = I,  Q >= 0,
 
 where M is the task-graph adjacency. Training runs an ADMM scheme with
-auxiliary copies U_W, U_Q carrying the non-smooth penalties, a
-multiplier on the orthogonality constraint, block coordinate descent on
-W, and a projected backtracking gradient step on Q.
+auxiliary copies U_W, U_Q carrying the non-smooth penalties, block
+coordinate descent on W, and a backtracking gradient step on Q whose
+every candidate is retracted onto {Q >= 0, Q^T Q = I}, so each iterate
+meets both constraints exactly.
 
 Every loss term is evaluated from the dataset's cached Gram statistics
 (S_r = X_r^T X_r / n_r, b_r = X_r^T Y_r / n_r, c_r = Y_r^T Y_r / n_r):
@@ -46,7 +47,7 @@ class Hyperparams:
     lambda_w: float = 0.1
     lambda_q: float = 0.01
     lambda_conn: float = 1.0
-    rho: float = 1.0
+    rho: float = 0.25
     k: int = 5
     alpha: float = 0.02
     max_iter: int = 2000
@@ -90,7 +91,6 @@ class SolverState:
     U_Q: np.ndarray
     Lambda1: np.ndarray
     Lambda2: np.ndarray
-    Lambda3: np.ndarray
     iteration: int = 0
     primal_residual: float = np.inf
     dual_residual: float = np.inf
@@ -122,7 +122,7 @@ class TrainedModel:
 
     @property
     def orth_gap(self):
-        """Final ||Q^T Q - I||_F (reported, not enforced)."""
+        """Final ||Q^T Q - I||_F."""
         return orthogonality_gap(self.Q)
 
     def coef(self, r):
@@ -173,7 +173,8 @@ def smooth_lagrangian(data: MultiTaskDataset, Q, W, state: SolverState, hp: Hype
     """Differentiable part of the augmented Lagrangian at (Q, W).
 
     Leaves out the non-smooth penalties, which attach to the dual copies
-    U_W, U_Q; used by gradient checks and Q backtracking.
+    U_W, U_Q, and the constraints on Q, which the Q step enforces; used
+    by gradient checks and Q backtracking.
     """
     rho = hp.rho
     value = data_loss(data, Q, W) + hp.lambda_conn * connectivity_penalty(W, data.graph)
@@ -181,9 +182,6 @@ def smooth_lagrangian(data: MultiTaskDataset, Q, W, state: SolverState, hp: Hype
     dQ = Q - state.U_Q
     value += float(np.sum(state.Lambda1 * dW)) + 0.5 * rho * float(np.sum(dW * dW))
     value += float(np.sum(state.Lambda2 * dQ)) + 0.5 * rho * float(np.sum(dQ * dQ))
-    if hp.orthogonality:
-        G = Q.T @ Q - np.eye(Q.shape[1])
-        value += float(np.sum(state.Lambda3 * G)) + 0.5 * rho * float(np.sum(G * G))
     return value
 
 
@@ -236,27 +234,54 @@ def grad_Q(data: MultiTaskDataset, state: SolverState, hp: Hyperparams):
     Q, W = state.Q, state.W
     _, SV = _task_fit(data, Q, W)
     g = 2.0 * ((SV - data.gram.B).T @ W.T)
-    g = g + state.Lambda2 + hp.rho * (Q - state.U_Q)
-    if hp.orthogonality:
-        g = g + 2.0 * Q @ state.Lambda3
-        g = g + 2.0 * hp.rho * Q @ (Q.T @ Q - np.eye(Q.shape[1]))
-    return g
+    return g + state.Lambda2 + hp.rho * (Q - state.U_Q)
+
+
+def retract(Q):
+    """Map Q onto {Q >= 0, Q^T Q = I}.
+
+    Each row keeps its largest positive entry and drops the rest, so the
+    columns have disjoint non-negative supports; each column is then
+    normalized. A column left empty takes its best row (largest entry in
+    that column) among the rows whose removal empties no other column.
+    A heuristic: the exact projection is a combinatorial assignment.
+    """
+    p, k = Q.shape
+    rows = np.arange(p)
+    best = np.argmax(Q, axis=1)
+    top = Q[rows, best]
+    R = np.zeros_like(Q)
+    kept = top > 0
+    R[rows[kept], best[kept]] = top[kept]
+    owner = np.where(kept, best, -1)
+    for c in np.flatnonzero(~R.any(axis=0)):
+        counts = np.bincount(owner[owner >= 0], minlength=k)
+        free = np.flatnonzero((owner < 0) | (counts[owner] > 1))
+        i = free[np.argmax(Q[free, c])]
+        R[i] = 0.0
+        R[i, c] = 1.0
+        owner[i] = c
+    return R / np.linalg.norm(R, axis=0)
 
 
 def update_Q(data: MultiTaskDataset, state: SolverState, g, hp: Hyperparams):
-    """Projected backtracking step on Q.
+    """Backtracking gradient step on Q that keeps Q feasible.
 
     Halves the step from hp.alpha until the smooth Lagrangian at the
-    non-negatively clipped candidate stops increasing; returns
-    (new Q, stalled). A stalled step leaves Q unchanged. The slack on
-    the accept test is relative: the Gram-form loss rounds at a scale
-    set by the label energy, not at a fixed 1e-12.
+    candidate stops increasing; returns (new Q, stalled). The candidate
+    is retract(Q - alpha g) when hp.orthogonality is on, and only
+    clipped to Q >= 0 when it is off; the accept test sees the candidate
+    itself, so an accepted step never trades the constraint for descent.
+    A stalled step leaves Q unchanged. The slack on the accept test is
+    relative: the Gram-form loss rounds at a scale set by the label
+    energy, not at a fixed 1e-12.
     """
     base = smooth_lagrangian(data, state.Q, state.W, state, hp)
     bound = base + 1e-12 * max(1.0, abs(base))
+    feasible = retract if hp.orthogonality else clip_nonneg
     alpha = hp.alpha
     for _ in range(MAX_BACKTRACKS):
-        candidate = clip_nonneg(state.Q - alpha * g)
+        candidate = feasible(state.Q - alpha * g)
         if smooth_lagrangian(data, candidate, state.W, state, hp) <= bound:
             return candidate, False
         alpha *= 0.5
@@ -271,20 +296,18 @@ def update_duals(state: SolverState, hp: Hyperparams):
 
 
 def update_multipliers(state: SolverState, hp: Hyperparams):
-    """Ascent step on all three multipliers; Lambda3 kept symmetric."""
+    """Ascent step on the multipliers of W = U_W and Q = U_Q."""
     L1 = state.Lambda1 + hp.rho * (state.W - state.U_W)
     L2 = state.Lambda2 + hp.rho * (state.Q - state.U_Q)
-    if hp.orthogonality:
-        G = state.Q.T @ state.Q - np.eye(state.Q.shape[1])
-        L3 = state.Lambda3 + hp.rho * G
-        L3 = 0.5 * (L3 + L3.T)
-    else:
-        L3 = state.Lambda3.copy()
-    return L1, L2, L3
+    return L1, L2
 
 
 def residuals(state_prev: SolverState, state_new: SolverState, hp: Hyperparams):
-    """(primal, dual) residual pair for the stopping rule."""
+    """(primal, dual) residual pair for the stopping rule.
+
+    The orthogonality gap stays in the primal part: the Q step keeps it
+    at rounding level, and the residual certifies that it does.
+    """
     p_res = norm_fro(state_new.W - state_new.U_W) + norm_fro(state_new.Q - state_new.U_Q)
     if hp.orthogonality:
         p_res += orthogonality_gap(state_new.Q)
@@ -370,12 +393,11 @@ def initial_state(data: MultiTaskDataset, hp: Hyperparams, q0=None):
         U_Q=Q.copy(),
         Lambda1=np.zeros((k, T)),
         Lambda2=np.zeros((p, k)),
-        Lambda3=np.zeros((k, k)),
     )
 
 
 def check_finite(state: SolverState, iteration):
-    for name in ("W", "Q", "U_W", "U_Q", "Lambda1", "Lambda2", "Lambda3"):
+    for name in ("W", "Q", "U_W", "U_Q", "Lambda1", "Lambda2"):
         if not np.all(np.isfinite(getattr(state, name))):
             raise NumericalAbort(f"non-finite values in {name} at iteration {iteration}")
 
@@ -385,9 +407,11 @@ def fit(data: MultiTaskDataset, hp: Hyperparams, q0=None) -> TrainedModel:
 
     Per outer iteration: one Gauss-Seidel BCD sweep over task weights in
     task order (exact SPD solves, on systems built for all tasks at
-    once), one projected backtracking gradient step on Q, proximal dual
+    once), one feasible backtracking gradient step on Q, proximal dual
     refresh, multiplier ascent, then the residual check.
-    Stops early once both residuals fall below their tolerances. Any
+    Stops early once both residuals fall below their tolerances after a
+    Q step that moved: an iteration whose Q step stalled never counts as
+    converged, since its residuals only show that nothing moved. Any
     non-finite value aborts with a diagnostic naming the variable.
     """
     if hp.k > data.p:
@@ -402,19 +426,17 @@ def fit(data: MultiTaskDataset, hp: Hyperparams, q0=None) -> TrainedModel:
         for r in range(T):
             state.W[:, r] = solve_W_r_exact(r, data, state, hp, systems)
         g = grad_Q(data, state, hp)
-        new_Q, stalled = update_Q(data, state, g, hp)
-        state.Q = new_Q
-        if stalled:
-            state.stalls += 1
+        state.Q, stalled = update_Q(data, state, g, hp)
+        state.stalls += stalled
         prev = copy.copy(state)  # shallow: the updates below rebind, never mutate
         state.U_W, state.U_Q = update_duals(state, hp)
-        state.Lambda1, state.Lambda2, state.Lambda3 = update_multipliers(state, hp)
+        state.Lambda1, state.Lambda2 = update_multipliers(state, hp)
         p_res, d_res = residuals(prev, state, hp)
         state.primal_residual, state.dual_residual = p_res, d_res
         state.residual_history.append((p_res, d_res))
         state.objective_history.append(objective(data, state.Q, state.W, hp))
         check_finite(state, it)
-        if p_res < hp.eps_primal and d_res < hp.eps_dual:
+        if not stalled and p_res < hp.eps_primal and d_res < hp.eps_dual:
             converged = True
             break
 

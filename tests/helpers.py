@@ -45,15 +45,23 @@ def oracle_soft_threshold_nonneg(x, kappa):
 def oracle_prox_l21_row(v, kappa):
     """argmin_u 0.5 ||u - v||^2 + kappa ||u||_2, by quasi-Newton descent.
 
-    The objective is non-smooth only at u = 0, so the numeric minimizer
-    is compared against the zero candidate explicitly.
+    The descent uses the objective's gradient u - v + kappa u / ||u||,
+    written from the objective, not from the closed-form prox. The
+    objective is non-smooth only at u = 0, so the numeric minimizer is
+    compared against the zero candidate explicitly.
     """
     v = np.asarray(v, dtype=float)
 
     def f(u):
         return 0.5 * float(np.sum((u - v) ** 2)) + kappa * float(np.linalg.norm(u))
 
-    best = minimize(f, v, method="L-BFGS-B", options={"ftol": 1e-16, "gtol": 1e-12}).x
+    def f_and_grad(u):
+        n = float(np.linalg.norm(u))
+        g = u - v + (kappa * u / n if n > 0 else 0.0)
+        return f(u), g
+
+    best = minimize(f_and_grad, v, jac=True, method="L-BFGS-B",
+                    options={"ftol": 1e-16, "gtol": 1e-12}).x
     return best if f(best) <= f(np.zeros_like(v)) else np.zeros_like(v)
 
 
@@ -133,13 +141,9 @@ def loop_objective(data, Q, W, hp):
 
 
 def loop_smooth_lagrangian(data, Q, W, state, hp):
-    """Loss, connectivity, and the augmented terms of all three constraints."""
+    """Loss, connectivity, and the augmented terms of W = U_W and Q = U_Q."""
     value = loop_loss(data, Q, W) + hp.lambda_conn * loop_connectivity(data, W)
-    G = Q.T @ Q - np.eye(Q.shape[1])
-    terms = [(state.Lambda1, W - state.U_W), (state.Lambda2, Q - state.U_Q)]
-    if hp.orthogonality:
-        terms.append((state.Lambda3, G))
-    for lam, d in terms:
+    for lam, d in ((state.Lambda1, W - state.U_W), (state.Lambda2, Q - state.U_Q)):
         value += float((lam * d).sum()) + 0.5 * hp.rho * float((d * d).sum())
     return value
 
@@ -154,8 +158,6 @@ def loop_grad_Q(data, state, hp):
             e = float(td.X[i] @ v) - td.Y[i]
             g += (2.0 / td.n) * e * np.outer(td.X[i], W[:, r])
     g += state.Lambda2 + hp.rho * (Q - state.U_Q)
-    if hp.orthogonality:
-        g += 2.0 * Q @ state.Lambda3 + 2.0 * hp.rho * Q @ (Q.T @ Q - np.eye(Q.shape[1]))
     return g
 
 
@@ -218,7 +220,6 @@ def random_dataset(rng, T, p, n_range=(5, 12), edge_prob=0.5):
 
 def random_state(rng, p, k, T):
     """Fully populated solver state with nonzero duals and multipliers."""
-    L3 = rng.standard_normal((k, k))
     return SolverState(
         W=rng.standard_normal((k, T)),
         Q=np.abs(rng.standard_normal((p, k))),
@@ -226,7 +227,6 @@ def random_state(rng, p, k, T):
         U_Q=rng.standard_normal((p, k)),
         Lambda1=rng.standard_normal((k, T)),
         Lambda2=rng.standard_normal((p, k)),
-        Lambda3=0.5 * (L3 + L3.T),
     )
 
 

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from titan.baselines import BaselineModel, fit_baseline
+from titan.baselines import fit_baseline
 from titan.errors import InputError
 from titan.evaluation import (
     MetricsReport,
