@@ -10,7 +10,6 @@ recovered from the per-task rows alone.
 from __future__ import annotations
 
 import logging
-import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -160,22 +159,6 @@ def recovery_jaccard(Q, block_supports, rel=SUPPORT_REL_THRESHOLD):
     return float(np.mean(scores))
 
 
-def _worker_budget(n_jobs):
-    """Worker processes for n_jobs fits: TITAN_THREADS when set, else
-    the CPUs this process may run on, never more than n_jobs."""
-    env = os.environ.get("TITAN_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise InputError(f"TITAN_THREADS must be an integer, got {env!r}") from None
-        if cap < 1:
-            raise InputError(f"TITAN_THREADS must be >= 1, got {cap}")
-        return min(cap, n_jobs)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(n_jobs, cpus)
-
-
 def _fit_and_score(train, test, hp_base, k):
     """Fit one k and score it: (report, fit seconds, iterations, converged)."""
     started = time.perf_counter()
@@ -187,42 +170,14 @@ def _fit_and_score(train, test, hp_base, k):
     return evaluate(model, test), fit_s, model.iterations, model.converged
 
 
-# (train, test, hp_base) of the sweep whose worker pool is forking. Forked
-# workers read it from their copy of the parent's memory, so only k is
-# pickled on the way in and only the small result on the way out.
-_forked_sweep = None
-
-
-def _forked_job(k):
-    return _fit_and_score(*_forked_sweep, k)
-
-
-def _run_forked(train, test, hp_base, ks, workers):
-    """Run the sweep's jobs on `workers` forked processes, largest k first
-    (the longest fits start first); results come back in the order of ks."""
-    global _forked_sweep
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    _forked_sweep = (train, test, hp_base)
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        order = sorted(range(len(ks)), key=lambda i: ks[i], reverse=True)
-        futures = {i: pool.submit(_forked_job, ks[i]) for i in order}
-        return [futures[i].result() for i in range(len(ks))]
-    finally:
-        pool.shutdown(cancel_futures=True)  # after a failure, start no further fits
-        _forked_sweep = None
-
-
 def sweep_group_count(train: MultiTaskDataset, test: MultiTaskDataset, hp_base: Hyperparams, k_values):
     """Train one model per k and score each on the test split.
 
-    Fits run in up to TITAN_THREADS forked worker processes (default:
-    the CPUs this process may use). The statistics every fit shares are
-    computed first, so the workers inherit them. One worker, one k, or a
-    platform without fork runs the fits in this process. Reports are
-    returned in k_values order either way, and are the same either way.
+    The fits run one after another in this process, in k_values order,
+    and share the dataset's cached Gram statistics and Laplacian. Each
+    fit's wall time, iteration count and convergence are logged at INFO,
+    then one summary line for the sweep. Reports come back in k_values
+    order.
     """
     ks = list(k_values)
     if not ks:
@@ -231,25 +186,18 @@ def sweep_group_count(train: MultiTaskDataset, test: MultiTaskDataset, hp_base: 
         if not 1 <= k <= train.p:
             raise InputError(f"sweep k={k} outside valid range 1..p={train.p}")
 
-    workers = _worker_budget(len(ks))
-    if not hasattr(os, "fork"):
-        workers = 1
     started = time.perf_counter()
-    if workers == 1:
-        results = [_fit_and_score(train, test, hp_base, k) for k in ks]
-    else:
-        # Built once here, these are inherited by every worker.
-        train.gram
-        train.graph.laplacian
-        results = _run_forked(train, test, hp_base, ks, workers)
-    wall = time.perf_counter() - started
-    for k, (_, fit_s, iterations, converged) in zip(ks, results):
+    reports, fit_total = [], 0.0
+    for k in ks:
+        report, fit_s, iterations, converged = _fit_and_score(train, test, hp_base, k)
         log.info("k=%d fit_s=%.2f iterations=%d converged=%s", k, fit_s, iterations, converged)
+        reports.append(report)
+        fit_total += fit_s
     log.info(
-        "sweep: %d fits on %d workers, wall %.2f s, summed fit time %.2f s",
-        len(ks), workers, wall, sum(r[1] for r in results),
+        "sweep: %d fits, wall %.2f s, summed fit time %.2f s",
+        len(ks), time.perf_counter() - started, fit_total,
     )
-    return tuple(r[0] for r in results)
+    return tuple(reports)
 
 
 def emit_report_csv(reports):

@@ -327,17 +327,23 @@ def _segment_contiguous(rows, weights, k):
     Sw = np.vstack([np.zeros(rows.shape[1]), np.cumsum(rows * weights[:, None], axis=0)])
     sw = np.concatenate([[0.0], np.cumsum(weights)])
     sq = np.concatenate([[0.0], np.cumsum(weights * (rows * rows).sum(axis=1))])
+    # Segment m..i-1 costs dsq[m, i] - spread[m, i]. Only m < i is ever
+    # read; the rest is masked so it cannot overflow. Built one column at
+    # a time, so memory stays O(p^2) however many tasks there are.
+    dsq = sq[None, :] - sq[:, None]
+    mu2 = np.empty((p + 1, p + 1))
+    for i in range(p + 1):
+        mu2[:, i] = ((Sw[i] - Sw) ** 2).sum(axis=1)
+    upper = np.triu(np.ones((p + 1, p + 1), dtype=bool), 1)
+    spread = mu2 / np.where(upper, np.maximum(sw[None, :] - sw[:, None], 1e-300), np.inf)
     D = np.full((p + 1, k + 1), np.inf)
     arg = np.zeros((p + 1, k + 1), dtype=int)
     D[0, 0] = 0.0
     for c in range(1, k + 1):
         for i in range(c, p + 1):
-            m = np.arange(c - 1, i)
-            seg_w = np.maximum(sw[i] - sw[m], 1e-300)
-            mu2 = ((Sw[i] - Sw[m]) ** 2).sum(axis=1)
-            vals = D[m, c - 1] + (sq[i] - sq[m]) - mu2 / seg_w
+            vals = D[c - 1:i, c - 1] + dsq[c - 1:i, i] - spread[c - 1:i, i]
             j = int(np.argmin(vals))
-            D[i, c], arg[i, c] = vals[j], m[j]
+            D[i, c], arg[i, c] = vals[j], c - 1 + j
     bounds = [p]
     i = p
     for c in range(k, 0, -1):

@@ -416,22 +416,17 @@ def test_bad_config_rejected_before_the_dataset_is_read(tmp_path, capsys, comman
     assert rc == 2 and message in capsys.readouterr().err
 
 
-def test_sweep_k_output_independent_of_worker_count(sweep_ds, monkeypatch, capsys, caplog):
+def test_sweep_k_logs_each_fit_in_k_order(sweep_ds, caplog):
     root, ds = sweep_ds
-    outputs = {}
-    for workers in ("1", "2"):
-        monkeypatch.setenv("TITAN_THREADS", workers)
-        out = root / f"sweep-{workers}.csv"
-        caplog.clear()
-        with caplog.at_level("INFO", logger="titan"):
-            assert main(["sweep-k", "--dataset", str(ds), "--k", "2,5,3", "--out", str(out)]) == 0
-        outputs[workers] = (out.read_bytes(), capsys.readouterr().out)
-        logged = [r.getMessage() for r in caplog.records if r.name == "titan.evaluation"]
-        assert [m.split()[0] for m in logged[:3]] == ["k=2", "k=5", "k=3"]
-        assert all(re.match(r"^k=\d+ fit_s=[0-9.]+ iterations=\d+ converged=(True|False)$", m) for m in logged[:3])
-        assert f"3 fits on {workers} workers" in logged[3]
-    assert outputs["1"] == outputs["2"]
-    assert [r.k for r in parse_report_csv(outputs["2"][0].decode())] == [2, 5, 3]
+    out = root / "sweep.csv"
+    with caplog.at_level("INFO", logger="titan"):
+        assert main(["sweep-k", "--dataset", str(ds), "--k", "2,5,3", "--out", str(out)]) == 0
+    logged = [r.getMessage() for r in caplog.records if r.name == "titan.evaluation"]
+    assert [m.split()[0] for m in logged[:3]] == ["k=2", "k=5", "k=3"]
+    assert all(re.match(r"^k=\d+ fit_s=[0-9.]+ iterations=\d+ converged=(True|False)$", m) for m in logged[:3])
+    assert re.match(r"^sweep: 3 fits, wall [0-9.]+ s, summed fit time [0-9.]+ s$", logged[3])
+    assert len(logged) == 4
+    assert [r.k for r in parse_report_csv(out.read_text(encoding="utf-8"))] == [2, 5, 3]
 
 
 @pytest.mark.parametrize("exc, code, prefix", [
@@ -447,16 +442,22 @@ def test_sweep_k_worker_failure_keeps_its_exit_code(sweep_ds, monkeypatch, capsy
             raise exc("planted failure")
         return real_fit(data, hp, q0)
 
-    monkeypatch.setattr(evaluation, "fit", failing_fit)  # forked workers inherit the patch
-    monkeypatch.setenv("TITAN_THREADS", "2")
+    monkeypatch.setattr(evaluation, "fit", failing_fit)
     rc = main(["sweep-k", "--dataset", str(ds), "--k", "2,3", "--out", str(root / "fail.csv")])
     assert rc == code
     assert capsys.readouterr().err.startswith(prefix + "planted failure")
 
 
-def test_cli_import_leaves_process_pool_modules_unloaded():
-    proc = run_python("-c", "import titan.cli, sys; print('multiprocessing' in sys.modules)")
-    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+def test_cli_import_leaves_process_pool_modules_unloaded(sweep_ds):
+    root, ds = sweep_ds
+    script = (
+        "import sys, titan.cli; "
+        f"rc = titan.cli.main(['sweep-k', '--dataset', {str(ds)!r}, '--k', '2,3', "
+        f"'--out', {str(root / 'no-mp.csv')!r}]); "
+        "print(rc, 'multiprocessing' in sys.modules)"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0 and proc.stdout.strip().splitlines()[-1] == "0 False"
 
 
 # -------------------------------------------------------------- report-groups

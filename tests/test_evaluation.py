@@ -1,6 +1,6 @@
 """Metrics, reports, group diagnostics, and the k sweep."""
 
-import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from titan.errors import InputError
 from titan.evaluation import (
     MetricsReport,
     MetricTriple,
-    _worker_budget,
     column_support,
     emit_report_csv,
     evaluate,
@@ -237,30 +236,14 @@ def test_sweep_minimum_near_planted_group_count(sweep_data):
     assert abs(best.k - 3) <= 1
 
 
-def test_sweep_serial_budget_matches_parallel(sweep_data, monkeypatch):
+def test_sweep_equals_direct_fits_in_k_order(sweep_data):
     train, test, _ = sweep_data
-    ks = [2, 3]
-    monkeypatch.setenv("TITAN_THREADS", "2")
-    parallel = sweep_group_count(train, test, Hyperparams(), ks)
-    monkeypatch.setenv("TITAN_THREADS", "1")
-    serial = sweep_group_count(train, test, Hyperparams(), ks)
-    assert parallel == serial
+    hp = Hyperparams()
+    reports = sweep_group_count(train, test, hp, [2, 5, 3])
+    assert reports == tuple(evaluate(fit(train, replace(hp, k=k)), test) for k in (2, 5, 3))
 
 
-def test_worker_budget_follows_cpu_affinity(monkeypatch):
-    monkeypatch.delenv("TITAN_THREADS", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-    assert _worker_budget(10) == 3
-    assert _worker_budget(2) == 2
-    monkeypatch.setenv("TITAN_THREADS", "8")
-    assert _worker_budget(10) == 8
-    monkeypatch.delenv("TITAN_THREADS")
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert _worker_budget(10) == 10
-
-
-def test_sweep_rejects_bad_inputs(sweep_data, monkeypatch):
+def test_sweep_rejects_bad_inputs(sweep_data):
     train, test, _ = sweep_data
     with pytest.raises(InputError, match="at least one"):
         sweep_group_count(train, test, Hyperparams(), [])
@@ -268,12 +251,6 @@ def test_sweep_rejects_bad_inputs(sweep_data, monkeypatch):
         sweep_group_count(train, test, Hyperparams(), [0, 3])
     with pytest.raises(InputError, match="k=19"):
         sweep_group_count(train, test, Hyperparams(), [19])
-    monkeypatch.setenv("TITAN_THREADS", "x")
-    with pytest.raises(InputError, match="TITAN_THREADS"):
-        sweep_group_count(train, test, Hyperparams(), [2])
-    monkeypatch.setenv("TITAN_THREADS", "0")
-    with pytest.raises(InputError, match=">= 1"):
-        sweep_group_count(train, test, Hyperparams(), [2])
 
 
 # ---------------------------------------------------------------- report CSV

@@ -1,6 +1,7 @@
 """Solver internals: objective, gradients, block solves, duals, and training."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from titan.solver import (
     residuals,
     retract,
     smooth_lagrangian,
+    _segment_contiguous,
     solve_W_r_exact,
     structured_q0,
     update_Q,
@@ -615,6 +617,34 @@ def test_structured_q0_single_group_covers_everything():
     Q = structured_q0(train, 1)
     assert Q.shape == (12, 1)
     assert np.all(Q > 0)
+
+
+def _weighted_dispersion(rows, weights, bounds):
+    """Sum over segments of sum_j w_j ||r_j - weighted segment mean||^2."""
+    total = 0.0
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        r, w = rows[a:b], weights[a:b]
+        mean = (w[:, None] * r).sum(axis=0) / w.sum()
+        total += float((w * ((r - mean) ** 2).sum(axis=1)).sum())
+    return total
+
+
+def test_segment_contiguous_matches_brute_force_minimum():
+    rng = np.random.default_rng(11)
+    for p in range(1, 10):
+        for k in range(1, min(p, 4) + 1):
+            for _ in range(3):
+                rows = rng.standard_normal((p, int(rng.integers(1, 4))))
+                weights = rng.uniform(0.05, 3.0, p) ** 2
+                bounds = _segment_contiguous(rows, weights, k)
+                assert len(bounds) == k + 1 and bounds[0] == 0 and bounds[-1] == p
+                assert all(a < b for a, b in zip(bounds[:-1], bounds[1:]))
+                best = min(
+                    _weighted_dispersion(rows, weights, [0, *cuts, p])
+                    for cuts in itertools.combinations(range(1, p), k - 1)
+                )
+                got = _weighted_dispersion(rows, weights, bounds)
+                np.testing.assert_allclose(got, best, rtol=1e-12, atol=1e-15, err_msg=f"p={p} k={k}")
 
 
 def test_initial_state_shapes_and_duals():
