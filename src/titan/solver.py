@@ -37,6 +37,10 @@ from .features import MultiTaskDataset
 from .prox import clip_nonneg, norm_fro, norm_l1, norm_l21, prox_l21, soft_threshold_nonneg
 
 MAX_BACKTRACKS = 30
+# A fit whose Q step stalls this many iterations in a row stops, unconverged.
+# No fit of the test suite (bar the rho = 1e300 one, which stalls every
+# time), the convergence table or the benchmark workloads stalls even once.
+MAX_STALLED_RUN = 10
 # Hyperparams fields that must be integers (not bool) and finite reals.
 _INT_FIELDS = ("k", "max_iter")
 _REAL_FIELDS = ("lambda_w", "lambda_q", "lambda_conn", "rho", "alpha", "eps_primal", "eps_dual")
@@ -417,7 +421,8 @@ def fit(data: MultiTaskDataset, hp: Hyperparams, q0=None) -> TrainedModel:
     refresh, multiplier ascent, then the residual check.
     Stops early once both residuals fall below their tolerances after a
     Q step that moved: an iteration whose Q step stalled never counts as
-    converged, since its residuals only show that nothing moved. Any
+    converged, since its residuals only show that nothing moved, and
+    MAX_STALLED_RUN stalled Q steps in a row end the fit unconverged. Any
     non-finite value aborts with a diagnostic naming the variable.
     """
     if hp.k > data.p:
@@ -426,6 +431,7 @@ def fit(data: MultiTaskDataset, hp: Hyperparams, q0=None) -> TrainedModel:
     state = initial_state(data, hp, q0=q0)
 
     converged = False
+    stalled_run = 0
     for it in range(1, hp.max_iter + 1):
         state.iteration = it
         systems = w_systems(data, state, hp)
@@ -434,6 +440,7 @@ def fit(data: MultiTaskDataset, hp: Hyperparams, q0=None) -> TrainedModel:
         g = grad_Q(data, state, hp)
         state.Q, stalled = update_Q(data, state, g, hp)
         state.stalls += stalled
+        stalled_run = stalled_run + 1 if stalled else 0
         prev = copy.copy(state)  # shallow: the updates below rebind, never mutate
         state.U_W, state.U_Q = update_duals(state, hp)
         state.Lambda1, state.Lambda2 = update_multipliers(state, hp)
@@ -444,6 +451,8 @@ def fit(data: MultiTaskDataset, hp: Hyperparams, q0=None) -> TrainedModel:
         check_finite(state, it)
         if not stalled and p_res < hp.eps_primal and d_res < hp.eps_dual:
             converged = True
+            break
+        if stalled_run == MAX_STALLED_RUN:
             break
 
     return TrainedModel(

@@ -134,7 +134,7 @@ def plant_W(graph: TaskGraph, k, smoothness, seed):
     rng = np.random.default_rng(seed)
     T = graph.n_tasks
     w0 = rng.standard_normal(k)
-    zeta = rng.standard_normal((k, T)) / np.sqrt(smoothness)
+    zeta = rng.standard_normal((k, T)) / np.sqrt(float(smoothness))  # an int may exceed int64
     M = graph.adjacency
     deg = graph.degree
     xi = (zeta + zeta @ M) / (1.0 + deg)

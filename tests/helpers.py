@@ -8,6 +8,8 @@ Gram-statistics loss forms against residuals taken row by row, and the
 bulk CSV codec against a per-cell writer and a per-line reader.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +200,17 @@ def line_read_matrix_csv(path, columns=None):
 
 
 # --------------------------------------------------------- instance builders
+
+
+def split_cache_path(root, split):
+    """Where a dataset split's parse cache must be for the split's CSVs as
+    they are now: `cache.<key>.npy`, the key the sha256 of the feature
+    dimension and of each CSV's sha256 (X then Y per task, in task order)."""
+    meta = json.loads((Path(root) / "tasks.json").read_text(encoding="utf-8"))
+    digests = [hashlib.sha256((Path(root) / split / f"{m}_{road}.csv").read_bytes()).hexdigest()
+               for road in meta["tasks"] for m in "XY"]
+    key = hashlib.sha256(f"{meta['h'] + meta['t']}:{','.join(digests)}".encode("ascii")).hexdigest()
+    return Path(root) / split / f"cache.{key}.npy"
 
 
 def random_dataset(rng, T, p, n_range=(5, 12), edge_prob=0.5):

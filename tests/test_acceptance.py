@@ -276,7 +276,7 @@ def test_11_cli_determinism(capsys, tmp_path):
 
     ds_a, model_a = run("a")
     ds_b, model_b = run("b")
-    ok = ds_a == ds_b and model_a == model_b and len(ds_a) == 15
+    ok = ds_a == ds_b and model_a == model_b and len(ds_a) == 17  # 12 split CSVs, 2 split caches, 3 more
     report(capsys, ok, "criterion 11 (determinism)",
            f"two synth+train runs byte-identical: dataset files "
            f"{'match' if ds_a == ds_b else 'differ'} ({len(ds_a)} files), "

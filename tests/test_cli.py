@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import split_cache_path
+
 import titan
 from titan import evaluation
 from titan.cli import main
@@ -115,8 +117,9 @@ def test_synth_writes_expected_layout(small_ds):
         for road in roads:
             want.add(f"{split}/X_{road}.csv")
             want.add(f"{split}/Y_{road}.csv")
+        want.add(str(split_cache_path(ds, split).relative_to(ds)))  # the split's parse cache
     assert names == want
-    assert len(names) == 3 * 4 + 3
+    assert len(names) == 3 * 4 + 2 + 3
 
 
 def test_synth_rerun_is_byte_identical(small_ds, tmp_path):

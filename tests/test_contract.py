@@ -1,8 +1,8 @@
 """The CLI's error contract under malformed input.
 
-Whatever a config, model file or edge list holds, a command exits 0
-(success), 2 (input error) or 3 (numerical failure), and never with an
-uncaught exception. The commands run in process through main(argv), so
+Whatever a config, model file, edge list or dataset parse cache holds, a
+command exits 0 (success), 2 (input error) or 3 (numerical failure), and
+never with an uncaught exception. The commands run in process through main(argv), so
 an uncaught exception fails the test with its traceback.
 """
 
@@ -12,9 +12,12 @@ import json
 import math
 import shutil
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from helpers import split_cache_path
 
 from titan.cli import main
 
@@ -198,3 +201,82 @@ def test_dataset_task_graphs_keep_the_exit_contract(world, tasks, lines):
     (fuzz_ds / "graph.edges").write_text("\n".join(lines) + "\n", encoding="utf-8")
     hp = write_json(root / "fuzz-hp-small.json", {"k": 2, "max_iter": 2})
     assert_contract(["train", "--dataset", fuzz_ds, "--config", hp, "--out", root / "fuzz-out"])
+
+
+def npy_bytes(M, allow_pickle=False):
+    buf = io.BytesIO()
+    np.save(buf, M, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def huge_header(v):
+    """A header that claims 10**10 values in front of v's data."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {"descr": "<f8", "fortran_order": False, "shape": (10**10,)})
+    return buf.getvalue() + v.tobytes()
+
+
+def vector(good):
+    return np.load(io.BytesIO(good))
+
+
+# Ways to damage a split's parse cache; each gets the good cache's bytes and
+# those of the other split's cache (a vector of another length).
+CACHE_DAMAGE = {
+    "truncated": lambda good, other: good[:len(good) // 2],
+    "header only": lambda good, other: good[:128],
+    "empty": lambda good, other: b"",
+    "int64": lambda good, other: npy_bytes(vector(good).astype(np.int64)),
+    "2-D": lambda good, other: npy_bytes(vector(good).reshape(-1, 1)),
+    "2-D Fortran order": lambda good, other: npy_bytes(np.asfortranarray(vector(good).reshape(2, -1))),
+    "pickled objects": lambda good, other: npy_bytes(vector(good).astype(object), allow_pickle=True),
+    "big-endian": lambda good, other: npy_bytes(vector(good).astype(">f8")),
+    "other split": lambda good, other: other,
+    "no values": lambda good, other: npy_bytes(vector(good)[:0]),
+    "one value short": lambda good, other: npy_bytes(vector(good)[:-1]),
+    "huge shape": lambda good, other: huge_header(vector(good)),
+    "directory": None,
+}
+CACHE_COMMANDS = {
+    "train": lambda root: ["train", "--config", root / "hp.json", "--out"],
+    "train-baseline": lambda root: ["train-baseline", "--kind", "ridge", "--lam", "0.1", "--out"],
+    "evaluate": lambda root: ["evaluate", "--model", root / "titan.json", "--model", root / "ridge.json",
+                              "--out"],
+    "sweep-k": lambda root: ["sweep-k", "--config", root / "hp.json", "--k", "1,2", "--out"],
+}
+
+
+def cache_run(root, ds, command, out):
+    code, err = run_cli(CACHE_COMMANDS[command](root) + [out, "--dataset", ds])
+    assert code in (0, 2, 3), (command, code, err)
+    assert "Traceback" not in err
+    return code, out.read_bytes() if out.exists() else None
+
+
+@pytest.fixture(scope="module")
+def cache_free(world):
+    """Each command's exit code and output on a copy of the dataset with no caches."""
+    root, ds = world
+    bare = root / "cache-free"
+    shutil.copytree(ds, bare)
+    for cache in bare.rglob("*.npy"):
+        cache.unlink()
+    return {command: cache_run(root, bare, command, root / f"cache-free-{command}")
+            for command in CACHE_COMMANDS}
+
+
+@pytest.mark.parametrize("damage", sorted(CACHE_DAMAGE))
+def test_damaged_caches_keep_the_exit_contract_and_the_outputs(world, cache_free, damage):
+    root, ds = world
+    damaged = root / f"damaged-{damage.replace(' ', '-')}"
+    shutil.copytree(ds, damaged)
+    caches = {split: split_cache_path(damaged, split) for split in ("train", "test")}
+    good = {split: path.read_bytes() for split, path in caches.items()}
+    for split, other in (("train", "test"), ("test", "train")):
+        if CACHE_DAMAGE[damage] is None:
+            caches[split].unlink()
+            caches[split].mkdir()
+        else:
+            caches[split].write_bytes(CACHE_DAMAGE[damage](good[split], good[other]))
+    for command, want in cache_free.items():
+        assert cache_run(root, damaged, command, damaged / f"out-{command}") == want, command

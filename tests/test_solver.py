@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from titan.evaluation import recovery_jaccard, rmse
 from titan.features import MultiTaskDataset, TaskDataset
 from titan.roadnet import TaskGraph
 from titan.solver import (
+    MAX_STALLED_RUN,
     Hyperparams,
     SolverState,
     TrainedModel,
@@ -780,8 +782,14 @@ def test_fit_stalled_q_step_never_converges():
     train, _, _ = generate(SynthConfig())
     with np.errstate(over="ignore", invalid="ignore"):
         model = fit(train, Hyperparams(rho=1e300, max_iter=5))
+        assert not model.converged
+        assert model.iterations == 5
+        started = time.perf_counter()
+        model = fit(train, Hyperparams(rho=1e300))  # max_iter 2000
+        elapsed = time.perf_counter() - started
     assert not model.converged
-    assert model.iterations == 5
+    assert model.iterations == MAX_STALLED_RUN  # a run of stalls ends the fit
+    assert elapsed < 2.0, f"stalled fit took {elapsed:.2f} s"  # ~0.04 s; 7 s when it ran to max_iter
 
 
 def test_fit_recovers_planted_groups_on_every_seed():
@@ -868,7 +876,7 @@ def test_hyperparams_validation():
         with pytest.raises(InputError, match=f"{field} must be an integer"):
             Hyperparams(**{field: bad})
     for field, bad in (("lambda_w", float("nan")), ("rho", float("inf")), ("alpha", "0.1"),
-                       ("eps_dual", None), ("lambda_conn", False)):
+                       ("eps_dual", None), ("lambda_conn", False), ("rho", 10**400)):
         with pytest.raises(InputError, match=f"{field} must be a finite number"):
             Hyperparams(**{field: bad})
     with pytest.raises(InputError, match="orthogonality"):

@@ -1,6 +1,7 @@
 """Round trips and error reporting for the on-disk formats."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import cell_write_matrix_csv, line_read_matrix_csv
+from helpers import cell_write_matrix_csv, line_read_matrix_csv, split_cache_path
 
+from titan import storage
 from titan.baselines import BaselineModel
+from titan.cli import main
 from titan.errors import InputError
 from titan.solver import Hyperparams, TrainedModel
 from titan.storage import (
@@ -227,6 +230,104 @@ def test_read_split_matches_read_dataset_and_reads_one_split(tmp_path):
         read_split(root, "train")
     with pytest.raises(InputError, match="split must be one of"):
         read_split(root, "validation")
+
+
+# --------------------------------------------------------------- parse cache
+
+
+def small_dataset(root, seed=1):
+    train, test, _ = generate(SynthConfig(T=3, p=8, k=2, n_per_task=20,
+                                          noise_sigma=0.5, graph_kind="path", seed=seed))
+    return write_dataset(root, train, test)
+
+
+def drop_caches(root):
+    for cache in root.rglob("*.npy"):
+        cache.unlink()
+
+
+def test_cache_hit_equals_parse_with_its_dtype_and_layout(tmp_path, monkeypatch):
+    root = small_dataset(tmp_path / "ds")
+    assert sorted(root.rglob("*.npy")) == [split_cache_path(root, "test"), split_cache_path(root, "train")]
+
+    def no_parse(path, columns=None):
+        raise AssertionError(f"parsed {path}")
+
+    with monkeypatch.context() as m:
+        m.setattr(storage, "read_matrix_csv", no_parse)
+        cached = read_dataset(root)
+    drop_caches(root)
+    parsed = read_dataset(root)
+    for a, b in zip([td for ds in cached for td in ds.tasks], [td for ds in parsed for td in ds.tasks]):
+        for got, want in ((a.X, b.X), (a.Y, b.Y)):
+            assert np.array_equal(got, want)
+            assert got.dtype == want.dtype == np.float64
+            assert got.flags.c_contiguous and want.flags.c_contiguous
+            assert got.strides == want.strides
+
+
+def test_commands_write_the_same_bytes_without_caches(tmp_path):
+    cached = small_dataset(tmp_path / "cached")
+    bare = tmp_path / "bare"
+    shutil.copytree(cached, bare)
+    drop_caches(bare)
+    hp = tmp_path / "hp.json"
+    hp.write_text('{"k": 2, "max_iter": 60}\n', encoding="utf-8")
+
+    def outputs(ds):
+        out = tmp_path / f"out-{ds.name}"
+        out.mkdir()
+        for argv in (["train", "--config", hp, "--out", out / "titan.json"],
+                     ["train-baseline", "--kind", "ridge", "--out", out / "ridge.json"],
+                     ["train-baseline", "--kind", "nmtl", "--out", out / "nmtl.json"],
+                     ["evaluate", "--model", out / "titan.json", "--model", out / "ridge.json",
+                      "--model", out / "nmtl.json", "--out", out / "report.csv"],
+                     ["sweep-k", "--config", hp, "--k", "1,2,3", "--out", out / "sweep.csv"]):
+            assert main([str(a) for a in argv + ["--dataset", ds]]) == 0
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    assert outputs(cached) == outputs(bare)
+    assert not list(bare.rglob("*.npy"))  # reading never writes a cache
+
+
+def test_edited_csv_is_read_with_its_new_values(tmp_path):
+    root = small_dataset(tmp_path / "ds")
+    before = read_split(root, "train")
+    stale = split_cache_path(root, "train")
+    x_csv, y_csv = root / "train" / "X_r01.csv", root / "train" / "Y_r01.csv"
+    X = before.tasks[1].X.copy()
+    X[3, 2] += 1.0
+    write_matrix_csv(x_csv, X)
+    y_lines = y_csv.read_text(encoding="utf-8").splitlines()
+    y_lines[0] = "7.25"
+    y_csv.write_text("\n".join(y_lines) + "\n", encoding="utf-8")
+    assert stale.is_file() and not split_cache_path(root, "train").exists()
+    after = read_split(root, "train")
+    np.testing.assert_array_equal(after.tasks[1].X, X)
+    assert after.tasks[1].Y[0] == 7.25
+    np.testing.assert_array_equal(after.tasks[1].Y[1:], before.tasks[1].Y[1:])
+    np.testing.assert_array_equal(after.tasks[0].X, before.tasks[0].X)
+
+
+@settings(max_examples=60, deadline=None)
+@given(damage=st.one_of(st.binary(max_size=400), st.integers(0, 10**6)))
+def test_damaged_cache_falls_back_to_the_parse(tmp_path_factory, damage):
+    root = tmp_path_factory.mktemp("damaged")
+    small_dataset(root)
+    cache = split_cache_path(root, "test")
+    good = cache.read_bytes()
+    # random bytes, or the real cache cut short
+    cache.write_bytes(damage if isinstance(damage, bytes) else good[:damage % len(good)])
+    got = read_split(root, "test").tasks
+    for road, td in zip(("r00", "r01", "r02"), got):
+        assert np.array_equal(td.X, read_matrix_csv(root / "test" / f"X_{road}.csv", columns=8))
+        assert np.array_equal(td.Y, read_matrix_csv(root / "test" / f"Y_{road}.csv", columns=1)[:, 0])
+
+
+def test_rewriting_a_dataset_replaces_its_caches(tmp_path):
+    root = small_dataset(tmp_path / "ds", seed=1)
+    small_dataset(root, seed=2)
+    assert sorted(root.rglob("*.npy")) == [split_cache_path(root, "test"), split_cache_path(root, "train")]
 
 
 def test_dataset_reader_errors(tmp_path):

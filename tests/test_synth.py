@@ -44,6 +44,13 @@ def test_config_validation():
         small_config(feature_corr=1.0)
     with pytest.raises(InputError, match="edge_list_path"):
         small_config(graph_kind="custom-edge-list")
+    with pytest.raises(InputError, match="weight_smoothness must be a finite number"):
+        small_config(weight_smoothness=10**400)
+
+
+def test_integer_reals_beyond_int64_generate():
+    train, _, _ = generate(small_config(weight_smoothness=2**70, noise_sigma=2**70))
+    assert all(np.all(np.isfinite(td.Y)) for td in train.tasks)
 
 
 def test_config_rejects_absurd_sizes_before_allocating():
