@@ -164,6 +164,8 @@ def fit_nmtl(data: MultiTaskDataset, lam, with_history=False):
 
 def fit_baseline(kind, data: MultiTaskDataset, lam) -> BaselineModel:
     """Train one baseline at one penalty over the whole dataset."""
+    if not np.isfinite(lam):
+        raise InputError(f"lambda must be finite, got {lam}")
     if kind == "ridge":
         W = np.column_stack([fit_ridge(td, lam) for td in data.tasks])
     elif kind == "lasso":

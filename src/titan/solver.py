@@ -37,9 +37,9 @@ from .features import MultiTaskDataset
 from .prox import clip_nonneg, norm_fro, norm_l1, norm_l21, prox_l21, soft_threshold_nonneg
 
 MAX_BACKTRACKS = 30
-# A fit whose Q step stalls this many iterations in a row stops, unconverged.
-# No fit of the test suite (bar the rho = 1e300 one, which stalls every
-# time), the convergence table or the benchmark workloads stalls even once.
+# A fit whose Q step stalled this many iterations in a row stops, unconverged.
+# No fit of the test suite (bar the rho = 1e300 one, whose every Q step
+# stalled), the convergence table or the benchmark workloads stalled even once.
 MAX_STALLED_RUN = 10
 # Hyperparams fields that must be integers (not bool) and finite reals.
 _INT_FIELDS = ("k", "max_iter")
@@ -95,12 +95,6 @@ class SolverState:
     U_Q: np.ndarray
     Lambda1: np.ndarray
     Lambda2: np.ndarray
-    iteration: int = 0
-    primal_residual: float = np.inf
-    dual_residual: float = np.inf
-    objective_history: list = field(default_factory=list)
-    residual_history: list = field(default_factory=list)
-    stalls: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +107,6 @@ class TrainedModel:
     iterations: int = 0
     final_residuals: tuple = (np.inf, np.inf)
     residual_history: tuple = field(default=(), repr=False, compare=False)
-    objective_history: tuple = field(default=(), repr=False, compare=False)
     label = "titan"  # method name in reports (a class constant, not a field)
 
     @property
@@ -219,13 +212,13 @@ def w_systems(data: MultiTaskDataset, state: SolverState, hp: Hyperparams):
     return A, b0
 
 
-def solve_W_r_exact(r, data: MultiTaskDataset, state: SolverState, hp: Hyperparams, systems=None):
+def solve_W_r_exact(r, data: MultiTaskDataset, state: SolverState, hp: Hyperparams, systems):
     """Minimize the W_r subproblem by its k-by-k SPD normal equations.
 
-    `systems` is w_systems(data, state, hp) when the caller already holds
-    it for the current Q, U_W and Lambda1.
+    `systems` is w_systems(data, state, hp) for the current Q, U_W and
+    Lambda1.
     """
-    A, b0 = w_systems(data, state, hp) if systems is None else systems
+    A, b0 = systems
     b = b0[r] + 2.0 * hp.lambda_conn * (state.W @ data.graph.adjacency[:, r])
     try:
         return np.linalg.solve(A[r], b)
@@ -432,22 +425,19 @@ def fit(data: MultiTaskDataset, hp: Hyperparams, q0=None) -> TrainedModel:
 
     converged = False
     stalled_run = 0
+    history = []  # (primal, dual) residuals, one pair per iteration
     for it in range(1, hp.max_iter + 1):
-        state.iteration = it
         systems = w_systems(data, state, hp)
         for r in range(T):
             state.W[:, r] = solve_W_r_exact(r, data, state, hp, systems)
         g = grad_Q(data, state, hp)
         state.Q, stalled = update_Q(data, state, g, hp)
-        state.stalls += stalled
         stalled_run = stalled_run + 1 if stalled else 0
         prev = copy.copy(state)  # shallow: the updates below rebind, never mutate
         state.U_W, state.U_Q = update_duals(state, hp)
         state.Lambda1, state.Lambda2 = update_multipliers(state, hp)
         p_res, d_res = residuals(prev, state, hp)
-        state.primal_residual, state.dual_residual = p_res, d_res
-        state.residual_history.append((p_res, d_res))
-        state.objective_history.append(objective(data, state.Q, state.W, hp))
+        history.append((p_res, d_res))
         check_finite(state, it)
         if not stalled and p_res < hp.eps_primal and d_res < hp.eps_dual:
             converged = True
@@ -461,10 +451,9 @@ def fit(data: MultiTaskDataset, hp: Hyperparams, q0=None) -> TrainedModel:
         tasks=tuple(data.graph.tasks),
         hyperparams=hp,
         converged=converged,
-        iterations=state.iteration,
-        final_residuals=(state.primal_residual, state.dual_residual),
-        residual_history=tuple(state.residual_history),
-        objective_history=tuple(state.objective_history),
+        iterations=len(history),
+        final_residuals=history[-1],
+        residual_history=tuple(history),
     )
 
 

@@ -165,8 +165,9 @@ def loop_grad_Q(data, state, hp):
 
 # ----------------------------------------------------------- per-cell CSV codec
 #
-# The library formats a block of rows with one `%` and parses with
-# np.loadtxt; these format each cell and parse each line with float().
+# The library formats a block of rows with one `%`; the writer here
+# formats each cell. The reader here is a second copy of the library's
+# line-by-line float() parse, kept as a drift guard for it.
 
 
 def cell_write_matrix_csv(path, M):

@@ -247,6 +247,19 @@ def test_predict_with_baseline_model(small_ds, tmp_path):
     assert read_matrix_csv(out, columns=1).shape == (3, 1)
 
 
+@pytest.mark.parametrize("lam", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("kind", ["lasso", "ridge"])
+def test_train_baseline_non_finite_lambda_exits_2(small_ds, tmp_path, kind, lam):
+    _, _, ds = small_ds
+    out = tmp_path / "b.json"
+    proc = run_python("-m", "titan", "train-baseline", "--dataset", str(ds), "--kind", kind,
+                      f"--lam={lam}", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "lambda must be finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ evaluate
 
 
@@ -488,7 +501,8 @@ def test_report_groups_planted_truth_has_disjoint_supports(noiseless, tmp_path):
         truth = read_ground_truth(ds)
         write_model(model_path, TrainedModel(
             Q=truth.Q, W=truth.W, tasks=truth.tasks,
-            hyperparams=Hyperparams(k=truth.Q.shape[1])))
+            hyperparams=Hyperparams(k=truth.Q.shape[1]),
+            converged=True, iterations=1, final_residuals=(0.0, 0.0)))
     out = tmp_path / "groups.json"
     assert main(["report-groups", "--model", str(model_path), "--out", str(out)]) == 0
     overlap = np.asarray(json.loads(out.read_text(encoding="utf-8"))["support_overlap"])

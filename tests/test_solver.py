@@ -45,6 +45,7 @@ from titan.solver import (
     update_Q,
     update_duals,
     update_multipliers,
+    w_systems,
 )
 from titan.synth import SynthConfig, generate, plant_Q
 
@@ -307,7 +308,7 @@ def test_solve_w_exact_scalar_case():
     g = X @ state.Q[:, 0]
     a = (2.0 / 5) * float(g @ g) + hp.rho  # degree 0: no connectivity diagonal
     b = (2.0 / 5) * float(g @ Y) - state.Lambda1[0, 0] + hp.rho * state.U_W[0, 0]
-    got = solve_W_r_exact(0, data, state, hp)
+    got = solve_W_r_exact(0, data, state, hp, w_systems(data, state, hp))
     assert abs(got[0] - b / a) < 1e-12
 
 
@@ -316,7 +317,7 @@ def test_solve_w_exact_zeroes_gradient():
     for _ in range(10):
         data, state, hp = random_instance(rng)
         r = int(rng.integers(data.n_tasks))
-        state.W[:, r] = solve_W_r_exact(r, data, state, hp)
+        state.W[:, r] = solve_W_r_exact(r, data, state, hp, w_systems(data, state, hp))
         g = grad_W_r(r, data, state, hp)
         assert np.max(np.abs(g)) < 1e-8 * (1.0 + np.max(np.abs(state.W)))
 
@@ -339,7 +340,7 @@ def test_solve_w_exact_matches_gradient_descent_oracle():
     step = 1.0 / float(np.linalg.eigvalsh(A)[-1])
     for _ in range(500):
         w = w - step * (A @ w - b)
-    got = solve_W_r_exact(r, data, state, hp)
+    got = solve_W_r_exact(r, data, state, hp, w_systems(data, state, hp))
     np.testing.assert_allclose(got, w, atol=1e-5)
 
 
@@ -697,15 +698,18 @@ def test_fit_zero_labels_drives_weights_to_zero():
     model = fit(data, no_orth)
     initial = objective(data, initial_state(data, no_orth).Q, np.zeros((3, 2)), no_orth)
     assert np.max(np.abs(model.W)) < 1e-6
-    assert model.objective_history[-1] < initial
+    assert objective(data, model.Q, model.W, no_orth) < initial
 
 
 def test_fit_synthetic_objective_trend_and_residual_shrink():
     train, _, _ = generate(SynthConfig(T=4, p=20, k=4, n_per_task=150, noise_sigma=1.0,
                                        graph_kind="star", seed=3))
-    model = fit(train, Hyperparams(k=4))
-    hist = np.asarray(model.objective_history)
+    hp = Hyperparams(k=4)
+    model = fit(train, hp)
     assert model.converged
+    # the objective after each iteration, replayed by fits cut short there
+    hist = np.array([objective(train, m.Q, m.W, hp) for m in (
+        fit(train, dataclasses.replace(hp, max_iter=it)) for it in range(1, model.iterations + 1))])
     # the trend is downward: transient bumps stay within 10% of the best
     # value so far, and the tail ends below the iteration-5 value
     running_min = np.minimum.accumulate(hist)

@@ -246,8 +246,44 @@ def drop_caches(root):
         cache.unlink()
 
 
+def assembled_dataset(root):
+    """`assemble --standardize` on two roads' raw inputs."""
+    rng = np.random.default_rng(5)
+    raw = root / "raw"
+    (raw / "speeds").mkdir(parents=True)
+    (raw / "roads.edges").write_text("v0 v1 r1\nv1 v2 r2\n", encoding="utf-8")
+    for road in ("r1", "r2"):
+        readings = "\n".join(f"{v:.3f}" for v in rng.uniform(20, 60, size=40))
+        (raw / "speeds" / f"{road}.csv").write_text(f"# start_index=0\n{readings}\n", encoding="utf-8")
+    rows = ["incident_id,road_id,verification_index,duration_minutes"]
+    rows += [f"i{n},r{1 + n % 2},{5 + n},{30 + 2 * n}" for n in range(24)]
+    (raw / "incidents.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    ds = root / "assembled"
+    assert main(["assemble", "--edges", str(raw / "roads.edges"), "--incidents", str(raw / "incidents.csv"),
+                 "--speeds-dir", str(raw / "speeds"), "--h", "3", "--t", "2", "--standardize",
+                 "--out", str(ds)]) == 0
+    return ds
+
+
+def run_dataset_commands(ds, out):
+    """train, train-baseline, evaluate and sweep-k on `ds`; returns the
+    bytes of each file they write to the new directory `out`."""
+    out.mkdir()
+    hp = out.parent / "hp.json"
+    hp.write_text('{"k": 2, "max_iter": 60}\n', encoding="utf-8")
+    for argv in (["train", "--config", hp, "--out", out / "titan.json"],
+                 ["train-baseline", "--kind", "ridge", "--out", out / "ridge.json"],
+                 ["train-baseline", "--kind", "nmtl", "--out", out / "nmtl.json"],
+                 ["evaluate", "--model", out / "titan.json", "--model", out / "ridge.json",
+                  "--model", out / "nmtl.json", "--out", out / "report.csv"],
+                 ["sweep-k", "--config", hp, "--k", "1,2,3", "--out", out / "sweep.csv"]):
+        assert main([str(a) for a in argv + ["--dataset", ds]]) == 0
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
 def test_cache_hit_equals_parse_with_its_dtype_and_layout(tmp_path, monkeypatch):
     root = small_dataset(tmp_path / "ds")
+    assembled = assembled_dataset(tmp_path)
     assert sorted(root.rglob("*.npy")) == [split_cache_path(root, "test"), split_cache_path(root, "train")]
 
     def no_parse(path, columns=None):
@@ -256,6 +292,10 @@ def test_cache_hit_equals_parse_with_its_dtype_and_layout(tmp_path, monkeypatch)
     with monkeypatch.context() as m:
         m.setattr(storage, "read_matrix_csv", no_parse)
         cached = read_dataset(root)
+        # every command that reads a dataset written by synth or assemble
+        # takes the cache, never the parse
+        for ds in (root, assembled):
+            run_dataset_commands(ds, tmp_path / f"out-{ds.name}")
     drop_caches(root)
     parsed = read_dataset(root)
     for a, b in zip([td for ds in cached for td in ds.tasks], [td for ds in parsed for td in ds.tasks]):
@@ -271,22 +311,8 @@ def test_commands_write_the_same_bytes_without_caches(tmp_path):
     bare = tmp_path / "bare"
     shutil.copytree(cached, bare)
     drop_caches(bare)
-    hp = tmp_path / "hp.json"
-    hp.write_text('{"k": 2, "max_iter": 60}\n', encoding="utf-8")
-
-    def outputs(ds):
-        out = tmp_path / f"out-{ds.name}"
-        out.mkdir()
-        for argv in (["train", "--config", hp, "--out", out / "titan.json"],
-                     ["train-baseline", "--kind", "ridge", "--out", out / "ridge.json"],
-                     ["train-baseline", "--kind", "nmtl", "--out", out / "nmtl.json"],
-                     ["evaluate", "--model", out / "titan.json", "--model", out / "ridge.json",
-                      "--model", out / "nmtl.json", "--out", out / "report.csv"],
-                     ["sweep-k", "--config", hp, "--k", "1,2,3", "--out", out / "sweep.csv"]):
-            assert main([str(a) for a in argv + ["--dataset", ds]]) == 0
-        return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
-
-    assert outputs(cached) == outputs(bare)
+    with_caches = run_dataset_commands(cached, tmp_path / "out-cached")
+    assert run_dataset_commands(bare, tmp_path / "out-bare") == with_caches
     assert not list(bare.rglob("*.npy"))  # reading never writes a cache
 
 
@@ -443,6 +469,8 @@ def test_model_errors(tmp_path):
     ("k", 0, "bad value for 'k'"),
     ("tasks", "a", "bad value for 'tasks'"),
     ("iterations", "x", "bad value for 'iterations'"),
+    ("iterations", -5.7, "bad value for 'iterations'"),
+    ("converged", "no", "bad value for 'converged'"),
     ("residuals", [0, 0], "bad value for 'residuals'"),
     ("hyperparams", [], "bad value for 'hyperparams'"),
 ])
