@@ -469,10 +469,10 @@ def test_model_errors(tmp_path):
     ("k", 0, "bad value for 'k'"),
     ("tasks", "a", "bad value for 'tasks'"),
     ("iterations", "x", "bad value for 'iterations'"),
-    ("iterations", -5.7, "bad value for 'iterations'"),
-    ("converged", "no", "bad value for 'converged'"),
     ("residuals", [0, 0], "bad value for 'residuals'"),
     ("hyperparams", [], "bad value for 'hyperparams'"),
+    ("iterations", -5.7, "bad value for 'iterations'"),
+    ("converged", "no", "bad value for 'converged'"),
 ])
 def test_trained_model_rejects_bad_fields(tmp_path, field, value, message):
     obj = {"p": 3, "k": 2, "tasks": ["a"], "Q": [[1, 0], [0, 1], [0, 0]], "W": [[1], [1]],
