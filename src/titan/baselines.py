@@ -1,9 +1,12 @@
 """Single-task and naive multi-task reference models.
 
-Ridge is closed form; lasso and the l2,1-coupled naive multi-task
-learner (nMTL) share an accelerated proximal-gradient loop with a
-monotone restart, so every baseline's objective history is
-non-increasing by construction.
+Ridge is closed form, from the data rows: it also seeds the solver's
+start (structured_q0). Lasso and the l2,1-coupled naive multi-task
+learner (nMTL) differ only in their penalty and its proximal map. Both
+run one accelerated proximal-gradient loop over all tasks' weights, with
+a monotone restart so the objective never increases, and evaluate the
+squared loss from the dataset's cached Gram statistics, the form the
+grouped solver uses.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .features import MultiTaskDataset, TaskDataset
-from .prox import norm_l21, prox_l21, soft_threshold
+from .features import GramStats, MultiTaskDataset, TaskDataset
+from .prox import norm_l1, norm_l21, prox_l21, soft_threshold
 
 BASELINE_KINDS = ("ridge", "lasso", "nmtl")
 FISTA_TOL = 1e-8
@@ -68,28 +71,42 @@ def fit_ridge(task: TaskDataset, lam):
     return np.linalg.solve(A, (2.0 / n) * (X.T @ Y))
 
 
-def _fista(grad, prox, lipschitz, objective, w0):
-    """Monotone FISTA: accelerated steps, plain fallback on any increase.
+def _fista(gs: GramStats, lam, prox, penalty):
+    """Minimize sum_r ||X_r w_r - Y_r||^2 / n_r + lam penalty(W) over the
+    p x T weights W (column w_r per task) by monotone FISTA: accelerated
+    steps, plain fallback on any increase.
 
-    Stops when the iterate's l-inf change drops below FISTA_TOL or at
-    FISTA_MAX_ITER. Returns (solution, objective history).
+    The loss and its gradient 2 (S_r w_r - b_r) come from the Gram
+    statistics; the loss is separable across columns, so the step is
+    1 / L for the largest per-task Lipschitz constant L. `prox(V, kappa)`
+    is the proximal map of kappa penalty. Stops when the iterate's l-inf
+    change drops below FISTA_TOL or at FISTA_MAX_ITER. Returns
+    (solution, objective history).
     """
+    lipschitz = 2.0 * float(np.max(np.linalg.eigvalsh(gs.S)[:, -1]))
     step = 1.0 / lipschitz if lipschitz > 0 else 1.0
-    w = w0.copy()
-    y = w0.copy()
+
+    def grad(W):
+        return 2.0 * (gs.fit(W.T) - gs.B).T
+
+    def objective(W):
+        return gs.loss(W.T) + lam * penalty(W)
+
+    w = np.zeros(gs.B.T.shape)
+    y = w.copy()
     t = 1.0
     history = [objective(w)]
     for _ in range(FISTA_MAX_ITER):
-        candidate = prox(y - step * grad(y), step)
+        candidate = prox(y - step * grad(y), lam * step)
         value = objective(candidate)
         if value > history[-1]:
             # ISTA step from the last accepted iterate cannot increase
-            candidate = prox(w - step * grad(w), step)
+            candidate = prox(w - step * grad(w), lam * step)
             value = objective(candidate)
             t = 1.0
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         y = candidate + ((t - 1.0) / t_next) * (candidate - w)
-        delta = float(np.max(np.abs(candidate - w))) if candidate.size else 0.0
+        delta = float(np.max(np.abs(candidate - w)))
         w = candidate
         t = t_next
         history.append(value)
@@ -98,68 +115,20 @@ def _fista(grad, prox, lipschitz, objective, w0):
     return w, history
 
 
-def lasso_objective(task: TaskDataset, w, lam):
-    resid = task.X @ w - task.Y
-    return float(resid @ resid) / task.n + lam * float(np.sum(np.abs(w)))
-
-
-def fit_lasso(task: TaskDataset, lam, with_history=False):
-    """Accelerated proximal-gradient lasso on one task."""
+def fit_lasso(data: MultiTaskDataset, lam):
+    """Per-task lasso, p x T. The l1 penalty is separable across tasks,
+    so one joint loop has the minimizer of T single-task lassos."""
     if lam < 0:
         raise InputError(f"lasso lambda must be >= 0, got {lam}")
-    X, Y, n = task.X, task.Y, task.n
-    H = (2.0 / n) * (X.T @ X)
-    L = float(np.linalg.eigvalsh(H)[-1])
-    XtY = (2.0 / n) * (X.T @ Y)
-    w, history = _fista(
-        grad=lambda w: H @ w - XtY,
-        prox=lambda v, step: soft_threshold(v, lam * step),
-        lipschitz=L,
-        objective=lambda w: lasso_objective(task, w, lam),
-        w0=np.zeros(task.p),
-    )
-    return (w, history) if with_history else w
+    return _fista(data.gram, lam, soft_threshold, norm_l1)[0]
 
 
-def nmtl_objective(data: MultiTaskDataset, B, lam):
-    loss = 0.0
-    for r, td in enumerate(data.tasks):
-        resid = td.X @ B[:, r] - td.Y
-        loss += float(resid @ resid) / td.n
-    return loss + lam * norm_l21(B)
-
-
-def fit_nmtl(data: MultiTaskDataset, lam, with_history=False):
-    """Joint l2,1-penalized multi-task regression over all tasks.
-
-    The loss is separable across task columns, so the gradient stacks
-    per-task ridge gradients and the Lipschitz constant is the largest
-    per-task one; rows are coupled only through prox_l21.
-    """
+def fit_nmtl(data: MultiTaskDataset, lam):
+    """Joint l2,1-penalized multi-task regression over all tasks, p x T;
+    rows are coupled only through prox_l21."""
     if lam < 0:
         raise InputError(f"nmtl lambda must be >= 0, got {lam}")
-    p, T = data.p, data.n_tasks
-    Hs, bs, Ls = [], [], []
-    for td in data.tasks:
-        H = (2.0 / td.n) * (td.X.T @ td.X)
-        Hs.append(H)
-        bs.append((2.0 / td.n) * (td.X.T @ td.Y))
-        Ls.append(float(np.linalg.eigvalsh(H)[-1]))
-
-    def grad(B):
-        g = np.empty_like(B)
-        for r in range(T):
-            g[:, r] = Hs[r] @ B[:, r] - bs[r]
-        return g
-
-    B, history = _fista(
-        grad=grad,
-        prox=lambda V, step: prox_l21(V, lam * step),
-        lipschitz=max(Ls),
-        objective=lambda B: nmtl_objective(data, B, lam),
-        w0=np.zeros((p, T)),
-    )
-    return (B, history) if with_history else B
+    return _fista(data.gram, lam, prox_l21, norm_l21)[0]
 
 
 def fit_baseline(kind, data: MultiTaskDataset, lam) -> BaselineModel:
@@ -169,7 +138,7 @@ def fit_baseline(kind, data: MultiTaskDataset, lam) -> BaselineModel:
     if kind == "ridge":
         W = np.column_stack([fit_ridge(td, lam) for td in data.tasks])
     elif kind == "lasso":
-        W = np.column_stack([fit_lasso(td, lam) for td in data.tasks])
+        W = fit_lasso(data, lam)
     elif kind == "nmtl":
         W = fit_nmtl(data, lam)
     else:

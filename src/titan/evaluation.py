@@ -209,26 +209,3 @@ def emit_report_csv(reports):
                 f"{rep.method},{road},{rep.k},{m.rmse:.4f},{m.mae:.4f},{m.mape_percent:.4f}"
             )
     return "\n".join(lines) + "\n"
-
-
-def parse_report_csv(text, source="<report>"):
-    """Inverse of emit_report_csv; overall metrics are not recoverable."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != REPORT_HEADER:
-        raise InputError(f"{source}:1: expected header {REPORT_HEADER!r}")
-    groups = {}  # (method, k) -> per-task dict, insertion ordered
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise InputError(f"{source}:{lineno}: expected 6 fields, got {len(parts)}")
-        method, road = parts[0], parts[1]
-        try:
-            k = int(parts[2])
-            triple = MetricTriple(float(parts[3]), float(parts[4]), float(parts[5]))
-        except ValueError:
-            raise InputError(f"{source}:{lineno}: bad numeric field") from None
-        groups.setdefault((method, k), {})[road] = triple
-    return tuple(
-        MetricsReport(method=method, per_task=per_task, k=k)
-        for (method, k), per_task in groups.items()
-    )

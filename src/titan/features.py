@@ -106,6 +106,14 @@ class GramStats:
     B: np.ndarray = field(repr=False)
     c: np.ndarray = field(repr=False)
 
+    def fit(self, V):
+        """S[r] V[r] for per-task weights V stacked (T, p), stacked (T, p)."""
+        return np.matmul(self.S, V[:, :, None])[:, :, 0]
+
+    def loss(self, V):
+        """sum_r ||X_r V[r] - Y_r||^2 / n_r for weights V stacked (T, p)."""
+        return float(np.sum(self.c) + np.sum(V * (self.fit(V) - 2.0 * self.B)))
+
 
 @dataclass(frozen=True, eq=False)
 class MultiTaskDataset:

@@ -138,17 +138,9 @@ def connectivity_penalty(W, graph):
     return float(np.sum((W @ graph.laplacian) * W))
 
 
-def _task_fit(data: MultiTaskDataset, Q, W):
-    """Per-task weights V[r] = Q W_r and S_r V[r], both stacked (T, p)."""
-    V = (Q @ W).T
-    return V, np.matmul(data.gram.S, V[:, :, None])[:, :, 0]
-
-
 def data_loss(data: MultiTaskDataset, Q, W):
     """sum_r ||X_r Q W_r - Y_r||^2 / n_r from the Gram statistics."""
-    gs = data.gram
-    V, SV = _task_fit(data, Q, W)
-    return float(np.sum(gs.c) + np.sum(V * (SV - 2.0 * gs.B)))
+    return data.gram.loss((Q @ W).T)
 
 
 def objective(data: MultiTaskDataset, Q, W, hp: Hyperparams):
@@ -180,19 +172,6 @@ def smooth_lagrangian(data: MultiTaskDataset, Q, W, state: SolverState, hp: Hype
     value += float(np.sum(state.Lambda1 * dW)) + 0.5 * rho * float(np.sum(dW * dW))
     value += float(np.sum(state.Lambda2 * dQ)) + 0.5 * rho * float(np.sum(dQ * dQ))
     return value
-
-
-def grad_W_r(r, data: MultiTaskDataset, state: SolverState, hp: Hyperparams):
-    """Gradient of the smooth Lagrangian with respect to column r of W."""
-    gs = data.gram
-    Q = state.Q
-    w = state.W[:, r]
-    g = 2.0 * (Q.T @ (gs.S[r] @ (Q @ w) - gs.B[r]))
-    g = g + state.Lambda1[:, r] + hp.rho * (w - state.U_W[:, r])
-    M = data.graph.adjacency
-    neighbors = state.W @ M[:, r]
-    g = g + 2.0 * hp.lambda_conn * (data.graph.degree[r] * w - neighbors)
-    return g
 
 
 def w_systems(data: MultiTaskDataset, state: SolverState, hp: Hyperparams):
@@ -229,8 +208,7 @@ def solve_W_r_exact(r, data: MultiTaskDataset, state: SolverState, hp: Hyperpara
 def grad_Q(data: MultiTaskDataset, state: SolverState, hp: Hyperparams):
     """Gradient of the smooth Lagrangian with respect to Q."""
     Q, W = state.Q, state.W
-    _, SV = _task_fit(data, Q, W)
-    g = 2.0 * ((SV - data.gram.B).T @ W.T)
+    g = 2.0 * ((data.gram.fit((Q @ W).T) - data.gram.B).T @ W.T)
     return g + state.Lambda2 + hp.rho * (Q - state.U_Q)
 
 

@@ -64,7 +64,11 @@ def _fmt_matrix(M):
 
 
 def _dump_json(obj, path):
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError:
+        raise InputError(f"{path}: cannot write a non-finite value as JSON") from None
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _load_json(path):
@@ -267,6 +271,8 @@ def read_ground_truth(root):
 
 def write_model(path, model):
     if isinstance(model, TrainedModel):
+        if model.iterations < 1:  # read_model would reject the file
+            raise InputError(f"{path}: cannot write a model with no fitted iterations")
         obj = {
             "p": model.p,
             "k": model.k,

@@ -6,6 +6,10 @@ objectives, gradients against central finite differences of the smooth
 Lagrangian, norms/metrics against explicit Python loops, the
 Gram-statistics loss forms against residuals taken row by row, and the
 bulk CSV codec against a per-cell writer and a per-line reader.
+
+Two pieces here only serve tests: the closed-form gradient in one column
+of W (the solver solves for W_r exactly) and the report CSV reader (the
+CLI only writes reports).
 """
 
 import hashlib
@@ -16,6 +20,7 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from titan.errors import InputError
+from titan.evaluation import REPORT_HEADER, MetricsReport, MetricTriple
 from titan.features import MultiTaskDataset, TaskDataset
 from titan.roadnet import TaskGraph
 from titan.solver import Hyperparams, SolverState, smooth_lagrangian
@@ -163,6 +168,36 @@ def loop_grad_Q(data, state, hp):
     return g
 
 
+def grad_W_r(r, data, state, hp):
+    """Closed-form gradient of the smooth Lagrangian in column r of W,
+    from the Gram statistics; the solver minimizes each W_r exactly
+    instead, so only the gradient checks read this."""
+    gs = data.gram
+    Q = state.Q
+    w = state.W[:, r]
+    g = 2.0 * (Q.T @ (gs.S[r] @ (Q @ w) - gs.B[r]))
+    g = g + state.Lambda1[:, r] + hp.rho * (w - state.U_W[:, r])
+    M = data.graph.adjacency
+    neighbors = state.W @ M[:, r]
+    g = g + 2.0 * hp.lambda_conn * (data.graph.degree[r] * w - neighbors)
+    return g
+
+
+def lasso_objective(task, w, lam):
+    """||X w - Y||^2 / n + lam ||w||_1 for one TaskDataset, from the rows."""
+    resid = task.X @ w - task.Y
+    return float(resid @ resid) / task.n + lam * float(np.sum(np.abs(w)))
+
+
+def nmtl_objective(data, B, lam):
+    """sum_r ||X_r B[:, r] - Y_r||^2 / n_r + lam ||B||_{2,1}, from the rows."""
+    loss = 0.0
+    for r, td in enumerate(data.tasks):
+        resid = td.X @ B[:, r] - td.Y
+        loss += float(resid @ resid) / td.n
+    return loss + lam * sum(float(np.sqrt(row @ row)) for row in B)
+
+
 # ----------------------------------------------------------- per-cell CSV codec
 #
 # The library formats a block of rows with one `%`; the writer here
@@ -198,6 +233,33 @@ def line_read_matrix_csv(path, columns=None):
     if columns is not None and M.shape[1] != columns:
         raise InputError(f"{path}: expected {columns} columns, got {M.shape[1]}")
     return M
+
+
+# ------------------------------------------------------------- report reader
+
+
+def parse_report_csv(text, source="<report>"):
+    """Inverse of evaluation.emit_report_csv; overall metrics are not
+    recoverable."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].strip() != REPORT_HEADER:
+        raise InputError(f"{source}:1: expected header {REPORT_HEADER!r}")
+    groups = {}  # (method, k) -> per-task dict, insertion ordered
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != 6:
+            raise InputError(f"{source}:{lineno}: expected 6 fields, got {len(parts)}")
+        method, road = parts[0], parts[1]
+        try:
+            k = int(parts[2])
+            triple = MetricTriple(float(parts[3]), float(parts[4]), float(parts[5]))
+        except ValueError:
+            raise InputError(f"{source}:{lineno}: bad numeric field") from None
+        groups.setdefault((method, k), {})[road] = triple
+    return tuple(
+        MetricsReport(method=method, per_task=per_task, k=k)
+        for (method, k), per_task in groups.items()
+    )
 
 
 # --------------------------------------------------------- instance builders

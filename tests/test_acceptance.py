@@ -16,6 +16,7 @@ import pytest
 from helpers import (
     fd_grad_Q,
     fd_grad_W_column,
+    grad_W_r,
     oracle_prox_l21_row,
     oracle_soft_threshold,
     oracle_soft_threshold_nonneg,
@@ -25,7 +26,7 @@ from titan.baselines import default_grid, fit_baseline, fit_nmtl
 from titan.cli import main
 from titan.evaluation import mae, mape, pooled_rmse, recovery_jaccard, rmse
 from titan.prox import prox_l21, soft_threshold, soft_threshold_nonneg
-from titan.solver import Hyperparams, TrainedModel, fit, grad_Q, grad_W_r, predict
+from titan.solver import Hyperparams, TrainedModel, fit, grad_Q, predict
 from titan.synth import SynthConfig, generate
 
 SEEDS = (0, 1, 2)

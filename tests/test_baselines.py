@@ -3,22 +3,22 @@
 import numpy as np
 import pytest
 
-from helpers import random_dataset
+from helpers import lasso_objective, nmtl_objective, random_dataset
 from titan.baselines import (
     BaselineModel,
     LASSO_GRID,
     NMTL_GRID,
     RIDGE_GRID,
+    _fista,
     default_grid,
     fit_baseline,
     fit_lasso,
     fit_nmtl,
     fit_ridge,
-    lasso_objective,
-    nmtl_objective,
 )
 from titan.errors import InputError
 from titan.features import MultiTaskDataset, TaskDataset
+from titan.prox import norm_l1, norm_l21, prox_l21, soft_threshold
 from titan.roadnet import TaskGraph
 from titan.solver import predict
 
@@ -29,6 +29,17 @@ def single_task(rng, n=50, p=6, sparse=False):
     if sparse:
         w[p // 2:] = 0.0
     return TaskDataset("a", X, X @ w + 0.3 * rng.standard_normal(n)), w
+
+
+def one_task_dataset(task):
+    """A MultiTaskDataset holding the single TaskDataset `task`."""
+    h = task.p // 2
+    return MultiTaskDataset((task,), TaskGraph.from_task_edges((task.road_id,), []), h, task.p - h)
+
+
+def lasso_one(task, lam):
+    """fit_lasso on a one-task dataset holding `task`, as a length-p vector."""
+    return fit_lasso(one_task_dataset(task), lam)[:, 0]
 
 
 def lasso_grid_oracle(task, lam):
@@ -101,13 +112,13 @@ def test_lasso_zero_penalty_matches_least_squares():
     rng = np.random.default_rng(5)
     task, _ = single_task(rng)
     w_ols = np.linalg.lstsq(task.X, task.Y, rcond=None)[0]
-    np.testing.assert_allclose(fit_lasso(task, 0.0), w_ols, atol=1e-6)
+    np.testing.assert_allclose(lasso_one(task, 0.0), w_ols, atol=1e-6)
 
 
 def test_lasso_huge_penalty_returns_zero():
     rng = np.random.default_rng(6)
     task, _ = single_task(rng)
-    w = fit_lasso(task, 1e6)
+    w = lasso_one(task, 1e6)
     assert np.all(w == 0.0)
 
 
@@ -118,7 +129,7 @@ def test_lasso_matches_grid_oracle():
     task = TaskDataset("a", X, X @ w_true + 0.2 * rng.standard_normal(20))
     for lam in (0.1, 1.0):
         w_grid, value_grid = lasso_grid_oracle(task, lam)
-        w = fit_lasso(task, lam)
+        w = lasso_one(task, lam)
         assert np.max(np.abs(w - w_grid)) < 1e-3
         assert lasso_objective(task, w, lam) <= value_grid + 1e-3
 
@@ -126,7 +137,8 @@ def test_lasso_matches_grid_oracle():
 def test_lasso_history_non_increasing():
     rng = np.random.default_rng(8)
     task, _ = single_task(rng, n=40, p=8)
-    _, history = fit_lasso(task, 0.5, with_history=True)
+    w, history = _fista(one_task_dataset(task).gram, 0.5, soft_threshold, norm_l1)
+    np.testing.assert_array_equal(w[:, 0], lasso_one(task, 0.5))
     diffs = np.diff(np.asarray(history))
     assert np.all(diffs <= 1e-12)
 
@@ -134,7 +146,7 @@ def test_lasso_history_non_increasing():
 def test_lasso_sparsity_monotone_in_lambda():
     rng = np.random.default_rng(9)
     task, _ = single_task(rng, n=40, p=10, sparse=True)
-    nnz = [int(np.sum(np.abs(fit_lasso(task, lam)) > 1e-10)) for lam in (0.01, 0.5, 5.0)]
+    nnz = [int(np.sum(np.abs(lasso_one(task, lam)) > 1e-10)) for lam in (0.01, 0.5, 5.0)]
     assert nnz[0] >= nnz[1] >= nnz[2]
     assert nnz[2] < task.p
 
@@ -143,7 +155,7 @@ def test_lasso_rejects_negative_lambda():
     rng = np.random.default_rng(10)
     task, _ = single_task(rng)
     with pytest.raises(InputError, match=">= 0"):
-        fit_lasso(task, -0.5)
+        lasso_one(task, -0.5)
 
 
 # ---------------------------------------------------------------------- nmtl
@@ -201,7 +213,8 @@ def test_nmtl_rows_share_support_across_tasks():
 def test_nmtl_history_non_increasing():
     rng = np.random.default_rng(15)
     data = random_dataset(rng, 3, 8, n_range=(30, 40))
-    _, history = fit_nmtl(data, 1.0, with_history=True)
+    B, history = _fista(data.gram, 1.0, prox_l21, norm_l21)
+    np.testing.assert_array_equal(B, fit_nmtl(data, 1.0))
     assert np.all(np.diff(np.asarray(history)) <= 1e-12)
 
 
@@ -210,6 +223,29 @@ def test_nmtl_rejects_negative_lambda():
     data = random_dataset(rng, 2, 6)
     with pytest.raises(InputError, match=">= 0"):
         fit_nmtl(data, -1.0)
+
+
+def test_gram_objective_and_joint_lasso_match_row_form_oracles():
+    rng = np.random.default_rng(19)
+    data = random_dataset(rng, 3, 8, n_range=(30, 40))
+    lam = 0.7
+    for _ in range(5):
+        B = rng.standard_normal((data.p, data.n_tasks))
+        lasso_rows = sum(lasso_objective(td, B[:, r], lam) for r, td in enumerate(data.tasks))
+        np.testing.assert_allclose(data.gram.loss(B.T) + lam * norm_l1(B), lasso_rows, rtol=1e-12)
+        np.testing.assert_allclose(
+            data.gram.loss(B.T) + lam * norm_l21(B), nmtl_objective(data, B, lam), rtol=1e-12
+        )
+    # the loop's own objective, read back at its solution
+    B, history = _fista(data.gram, lam, prox_l21, norm_l21)
+    np.testing.assert_allclose(history[-1], nmtl_objective(data, B, lam), rtol=1e-12)
+    B, history = _fista(data.gram, lam, soft_threshold, norm_l1)
+    lasso_rows = sum(lasso_objective(td, B[:, r], lam) for r, td in enumerate(data.tasks))
+    np.testing.assert_allclose(history[-1], lasso_rows, rtol=1e-12)
+    # one joint loop (one step size, one stopping test) against T single-task loops
+    joint = fit_lasso(data, lam)
+    for r, td in enumerate(data.tasks):
+        assert np.max(np.abs(joint[:, r] - lasso_one(td, lam))) < 1e-6
 
 
 # ------------------------------------------------------------------ plumbing
@@ -222,7 +258,7 @@ def test_fit_baseline_dispatch_matches_direct_calls():
     np.testing.assert_array_equal(m.weights, np.column_stack([fit_ridge(td, 1.0) for td in data.tasks]))
     assert m.kind == "ridge" and m.lam == 1.0 and m.tasks == tuple(data.graph.tasks)
     m = fit_baseline("lasso", data, 0.5)
-    np.testing.assert_array_equal(m.weights, np.column_stack([fit_lasso(td, 0.5) for td in data.tasks]))
+    np.testing.assert_array_equal(m.weights, fit_lasso(data, 0.5))
     m = fit_baseline("nmtl", data, 0.5)
     np.testing.assert_array_equal(m.weights, fit_nmtl(data, 0.5))
     with pytest.raises(InputError, match="unknown baseline kind"):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import parse_report_csv
 from titan.baselines import fit_baseline
 from titan.errors import InputError
 from titan.evaluation import (
@@ -17,7 +18,6 @@ from titan.evaluation import (
     mae,
     mape,
     measure,
-    parse_report_csv,
     pooled_rmse,
     recovery_jaccard,
     rmse,

@@ -10,6 +10,7 @@ import pytest
 from helpers import (
     fd_grad_Q,
     fd_grad_W_column,
+    grad_W_r,
     loop_grad_Q,
     loop_objective,
     loop_smooth_lagrangian,
@@ -31,7 +32,6 @@ from titan.solver import (
     connectivity_penalty,
     fit,
     grad_Q,
-    grad_W_r,
     initial_state,
     objective,
     orthogonality_gap,

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import cell_write_matrix_csv, line_read_matrix_csv, split_cache_path
+from helpers import cell_write_matrix_csv, line_read_matrix_csv, random_dataset, split_cache_path
 
 from titan import storage
 from titan.baselines import BaselineModel
 from titan.cli import main
 from titan.errors import InputError
-from titan.solver import Hyperparams, TrainedModel
+from titan.solver import Hyperparams, TrainedModel, fit
 from titan.storage import (
     read_dataset,
     read_ground_truth,
@@ -415,6 +415,26 @@ def test_trained_model_round_trip(tmp_path):
     assert got.hyperparams == model.hyperparams
     assert got.converged and got.iterations == 123
     assert got.final_residuals == model.final_residuals
+
+
+def test_write_model_refuses_models_read_model_rejects(tmp_path):
+    path = tmp_path / "model.json"
+    Q, W = np.eye(3)[:, :2], np.ones((2, 1))
+    unfitted = TrainedModel(Q=Q, W=W, tasks=("a",), hyperparams=Hyperparams(k=2))
+    with pytest.raises(InputError, match="no fitted iterations"):
+        write_model(path, unfitted)
+    with pytest.raises(InputError, match="non-finite"):
+        write_model(path, TrainedModel(Q=Q, W=W, tasks=("a",), hyperparams=Hyperparams(k=2),
+                                       iterations=1))  # residuals still (inf, inf)
+    assert not path.exists()
+    data = random_dataset(np.random.default_rng(3), 3, 6)
+    model = fit(data, Hyperparams(k=2, max_iter=5))
+    write_model(path, model)
+    json.loads(path.read_text(encoding="utf-8"), parse_constant=pytest.fail)  # standard JSON
+    got = read_model(path)
+    np.testing.assert_array_equal(got.Q, model.Q)
+    np.testing.assert_array_equal(got.W, model.W)
+    assert got.iterations == model.iterations and got.final_residuals == model.final_residuals
 
 
 def test_baseline_model_round_trip(tmp_path):
