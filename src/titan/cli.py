@@ -5,7 +5,8 @@ assemble datasets from raw road/incident/speed files, train the grouped
 multi-task model or a baseline, predict, evaluate models side by side,
 sweep the group count, and dump group-assignment reports.
 
-Exit codes: 0 success, 2 input/config error, 3 numerical failure.
+Exit codes: 0 success, 2 input/config error or a file that cannot be
+written, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -242,6 +243,9 @@ def main(argv=None):
     except NumericalAbort as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:  # an output path that cannot be written, say
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -112,7 +112,7 @@ class GramStats:
 
     def loss(self, V):
         """sum_r ||X_r V[r] - Y_r||^2 / n_r for weights V stacked (T, p)."""
-        return float(np.sum(self.c) + np.sum(V * (self.fit(V) - 2.0 * self.B)))
+        return float(self.c.sum() + (V * (self.fit(V) - 2.0 * self.B)).sum())
 
 
 @dataclass(frozen=True, eq=False)

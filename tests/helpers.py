@@ -7,9 +7,12 @@ Lagrangian, norms/metrics against explicit Python loops, the
 Gram-statistics loss forms against residuals taken row by row, and the
 bulk CSV codec against a per-cell writer and a per-line reader.
 
-Two pieces here only serve tests: the closed-form gradient in one column
-of W (the solver solves for W_r exactly) and the report CSV reader (the
-CLI only writes reports).
+Four pieces here only serve tests: the closed-form gradient in one
+column of W (the solver solves for W_r exactly), the W sweep as one
+np.linalg.solve call per task (the solver calls LAPACK's gufunc itself),
+the retraction as first written (the solver's has less per-call
+overhead, same bits), and the report CSV reader (the CLI only writes
+reports).
 """
 
 import hashlib
@@ -23,7 +26,7 @@ from titan.errors import InputError
 from titan.evaluation import REPORT_HEADER, MetricsReport, MetricTriple
 from titan.features import MultiTaskDataset, TaskDataset
 from titan.roadnet import TaskGraph
-from titan.solver import Hyperparams, SolverState, smooth_lagrangian
+from titan.solver import Hyperparams, SolverState, smooth_lagrangian, w_systems
 
 # ---------------------------------------------------------------- prox oracles
 
@@ -181,6 +184,37 @@ def grad_W_r(r, data, state, hp):
     neighbors = state.W @ M[:, r]
     g = g + 2.0 * hp.lambda_conn * (data.graph.degree[r] * w - neighbors)
     return g
+
+
+def reference_sweep_W(data, state, hp):
+    """The Gauss-Seidel W sweep as one np.linalg.solve call per task, in
+    task order, each against the neighbour columns the sweep has left."""
+    A, b0 = w_systems(data, state, hp)
+    for r in range(data.n_tasks):
+        b = b0[r] + 2.0 * hp.lambda_conn * (state.W @ data.graph.adjacency[:, r])
+        state.W[:, r] = np.linalg.solve(A[r], b)
+
+
+def reference_retract(Q):
+    """solver.retract as it was written before its per-call overhead was
+    cut: boolean-mask writes, every empty column searched for, and the
+    column norms from np.linalg.norm. Same bits."""
+    p, k = Q.shape
+    rows = np.arange(p)
+    best = np.argmax(Q, axis=1)
+    top = Q[rows, best]
+    R = np.zeros_like(Q)
+    kept = top > 0
+    R[rows[kept], best[kept]] = top[kept]
+    owner = np.where(kept, best, -1)
+    for c in np.flatnonzero(~R.any(axis=0)):
+        counts = np.bincount(owner[owner >= 0], minlength=k)
+        free = np.flatnonzero((owner < 0) | (counts[owner] > 1))
+        i = free[np.argmax(Q[free, c])]
+        R[i] = 0.0
+        R[i, c] = 1.0
+        owner[i] = c
+    return R / np.linalg.norm(R, axis=0)
 
 
 def lasso_objective(task, w, lam):

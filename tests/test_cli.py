@@ -183,6 +183,19 @@ def test_train_corrupt_csv_exits_2(small_ds, tmp_path, capsys):
     assert "X_r00.csv:2" in captured.err
 
 
+def test_train_singular_w_system_exits_3(small_ds, tmp_path, capsys, monkeypatch):
+    _, _, ds = small_ds
+
+    def singular(data, state, hp):
+        return np.zeros((data.n_tasks, hp.k, hp.k)), np.ones((data.n_tasks, hp.k))
+
+    monkeypatch.setattr(titan.solver, "w_systems", singular)
+    rc = main(["train", "--dataset", str(ds), "--out", str(tmp_path / "m.json")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numerical failure: W subproblem solve failed for task 'r00'")
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_train_and_evaluate_each_read_only_their_split(small_ds, trained, tmp_path):
     _, _, ds = small_ds
     hp, model = trained
@@ -500,6 +513,8 @@ THREAD_DEPENDENT = pytest.mark.xfail(strict=True, reason="fit_ridge's np.linalg.
     pytest.param(("train-baseline", "--kind", "lasso"), id="lasso"),
     pytest.param(("train-baseline", "--kind", "ridge"), id="ridge", marks=THREAD_DEPENDENT),
     pytest.param(("train",), id="train", marks=THREAD_DEPENDENT),
+    # its fits differ in the last bits as train's do, but the report keeps 4 decimals
+    pytest.param(("sweep-k", "--k", "3,5"), id="sweep-k"),
 ])
 def test_outputs_do_not_depend_on_blas_thread_count(wide_path_ds, tmp_path, command):
     outputs = []

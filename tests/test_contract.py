@@ -73,6 +73,7 @@ def world(tmp_path_factory):
     incidents = ["incident_id,road_id,verification_index,duration_minutes"]
     incidents += [f"i{n},r{1 + n % 2},{4 + n},{20 + n}" for n in range(16)]
     (raw / "incidents.csv").write_text("\n".join(incidents) + "\n", encoding="utf-8")
+    (raw / "roads.edges").write_text("v0 v1 r1\nv1 v2 r2\n", encoding="utf-8")
     return root, ds
 
 
@@ -280,3 +281,42 @@ def test_damaged_caches_keep_the_exit_contract_and_the_outputs(world, cache_free
             caches[split].write_bytes(CACHE_DAMAGE[damage](good[split], good[other]))
     for command, want in cache_free.items():
         assert cache_run(root, damaged, command, damaged / f"out-{command}") == want, command
+
+
+# Every command that writes a file, its output path left for the caller to append.
+WRITERS = {
+    "synth": lambda root, ds: ["synth", "--config", root / "synth.json", "--out"],
+    "assemble": lambda root, ds: ["assemble", "--edges", root / "raw" / "roads.edges",
+                                  "--incidents", root / "raw" / "incidents.csv",
+                                  "--speeds-dir", root / "raw" / "speeds", "--h", 2, "--t", 1, "--out"],
+    "train": lambda root, ds: ["train", "--dataset", ds, "--config", root / "hp.json", "--out"],
+    "train-baseline": lambda root, ds: ["train-baseline", "--dataset", ds, "--kind", "ridge", "--lam", "0.1",
+                                        "--out"],
+    "predict": lambda root, ds: ["predict", "--model", root / "titan.json", "--x", ds / "test" / "X_r00.csv",
+                                 "--task", "r00", "--out"],
+    "evaluate": lambda root, ds: ["evaluate", "--dataset", ds, "--model", root / "titan.json", "--out"],
+    "sweep-k": lambda root, ds: ["sweep-k", "--dataset", ds, "--config", root / "hp.json", "--k", "2", "--out"],
+    "report-groups": lambda root, ds: ["report-groups", "--model", root / "titan.json", "--out"],
+}
+# synth and assemble make their dataset directory, parents included
+FILE_WRITERS = sorted(set(WRITERS) - {"synth", "assemble"})
+
+
+def assert_unwritable(world, command, out):
+    root, ds = world
+    code, err = run_cli(WRITERS[command](root, ds) + [out])
+    assert code == 2, (command, code, err)
+    assert err.startswith(f"error: {out}: ") and "Traceback" not in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", FILE_WRITERS)
+def test_out_inside_a_missing_directory_exits_2(world, command):
+    root, _ = world
+    assert_unwritable(world, command, root / "no-such-dir" / "out")
+
+
+@pytest.mark.parametrize("command", sorted(WRITERS))
+def test_out_under_a_regular_file_exits_2(world, command):
+    root, _ = world
+    assert_unwritable(world, command, root / "hp.json" / "out")

@@ -19,7 +19,10 @@ from helpers import (
     random_dataset,
     random_instance,
     random_state,
+    reference_retract,
+    reference_sweep_W,
 )
+from titan import solver as solver_module
 from titan.errors import InputError, NumericalAbort
 from titan.evaluation import recovery_jaccard, rmse
 from titan.features import MultiTaskDataset, TaskDataset
@@ -29,7 +32,9 @@ from titan.solver import (
     Hyperparams,
     SolverState,
     TrainedModel,
+    check_finite,
     connectivity_penalty,
+    data_loss,
     fit,
     grad_Q,
     initial_state,
@@ -40,12 +45,13 @@ from titan.solver import (
     retract,
     smooth_lagrangian,
     _segment_contiguous,
-    solve_W_r_exact,
     structured_q0,
+    sweep_W,
     update_Q,
     update_duals,
     update_multipliers,
     w_systems,
+    w_terms,
 )
 from titan.synth import SynthConfig, generate, plant_Q
 
@@ -164,6 +170,21 @@ def test_gram_forms_match_residual_loop_random():
         assert_gram_forms_match_loops(data, state, hp)
         no_orth = dataclasses.replace(hp, orthogonality=False)
         assert_gram_forms_match_loops(data, state, no_orth)
+
+
+def test_smooth_lagrangian_with_precomputed_w_terms_is_bit_identical():
+    """The Q step passes the W-only terms in; the sum keeps its order:
+    (loss + connectivity) + (Lambda1 and rho W terms) + (Lambda2 and rho Q terms)."""
+    rng = np.random.default_rng(32)
+    for _ in range(20):
+        data, state, hp = random_instance(rng)
+        Q, W = state.Q, state.W
+        dW, dQ = W - state.U_W, Q - state.U_Q
+        want = data_loss(data, Q, W) + hp.lambda_conn * connectivity_penalty(W, data.graph)
+        want += float(np.sum(state.Lambda1 * dW)) + 0.5 * hp.rho * float(np.sum(dW * dW))
+        want += float(np.sum(state.Lambda2 * dQ)) + 0.5 * hp.rho * float(np.sum(dQ * dQ))
+        assert smooth_lagrangian(data, Q, W, state, hp) == want
+        assert smooth_lagrangian(data, Q, W, state, hp, w_terms(data, W, state, hp)) == want
 
 
 def test_gram_forms_match_residual_loop_near_zero_loss():
@@ -308,24 +329,29 @@ def test_solve_w_exact_scalar_case():
     g = X @ state.Q[:, 0]
     a = (2.0 / 5) * float(g @ g) + hp.rho  # degree 0: no connectivity diagonal
     b = (2.0 / 5) * float(g @ Y) - state.Lambda1[0, 0] + hp.rho * state.U_W[0, 0]
-    got = solve_W_r_exact(0, data, state, hp, w_systems(data, state, hp))
-    assert abs(got[0] - b / a) < 1e-12
+    sweep_W(data, state, hp)
+    assert abs(state.W[0, 0] - b / a) < 1e-12
 
 
 def test_solve_w_exact_zeroes_gradient():
+    """Gauss-Seidel: after the sweep, each column zeroes the gradient at
+    the point the sweep solved it from (earlier columns new, later ones old)."""
     rng = np.random.default_rng(11)
     for _ in range(10):
         data, state, hp = random_instance(rng)
-        r = int(rng.integers(data.n_tasks))
-        state.W[:, r] = solve_W_r_exact(r, data, state, hp, w_systems(data, state, hp))
-        g = grad_W_r(r, data, state, hp)
-        assert np.max(np.abs(g)) < 1e-8 * (1.0 + np.max(np.abs(state.W)))
+        before = state.W.copy()
+        sweep_W(data, state, hp)
+        after = state.W.copy()
+        for r in range(data.n_tasks):
+            state.W = np.hstack([after[:, :r + 1], before[:, r + 1:]])
+            g = grad_W_r(r, data, state, hp)
+            assert np.max(np.abs(g)) < 1e-8 * (1.0 + np.max(np.abs(state.W)))
 
 
 def test_solve_w_exact_matches_gradient_descent_oracle():
     rng = np.random.default_rng(12)
     data, state, hp = random_instance(rng)
-    r = 0
+    r = 0  # the sweep solves task 0 first, against the neighbour columns as given
     td = data.tasks[r]
     G = td.X @ state.Q
     k = G.shape[1]
@@ -340,8 +366,45 @@ def test_solve_w_exact_matches_gradient_descent_oracle():
     step = 1.0 / float(np.linalg.eigvalsh(A)[-1])
     for _ in range(500):
         w = w - step * (A @ w - b)
-    got = solve_W_r_exact(r, data, state, hp, w_systems(data, state, hp))
-    np.testing.assert_allclose(got, w, atol=1e-5)
+    sweep_W(data, state, hp)
+    np.testing.assert_allclose(state.W[:, r], w, atol=1e-5)
+
+
+GRAPH_EDGES = {
+    "star": lambda T: [(0, j) for j in range(1, T)],
+    "path": lambda T: [(i, i + 1) for i in range(T - 1)],
+    "complete": lambda T: list(itertools.combinations(range(T), 2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GRAPH_EDGES))
+def test_sweep_w_matches_per_task_linalg_solve_bit_for_bit(kind):
+    rng = np.random.default_rng(sorted(GRAPH_EDGES).index(kind))
+    for T, p, k in [(2, 4, 1), (5, 8, 2), (7, 12, 3), (12, 10, 5), (24, 30, 7)]:
+        names = tuple(f"t{i}" for i in range(T))
+        graph = TaskGraph.from_task_edges(names, [(names[i], names[j]) for i, j in GRAPH_EDGES[kind](T)])
+        tasks = []
+        for nm in names:
+            n = int(rng.integers(k, 3 * p))
+            tasks.append(TaskDataset(nm, rng.standard_normal((n, p)), rng.standard_normal(n)))
+        data = MultiTaskDataset(tuple(tasks), graph, p // 2, p - p // 2)
+        hp = Hyperparams(k=k, rho=float(rng.uniform(0.05, 2)), lambda_conn=float(rng.uniform(0, 3)))
+        state = random_state(rng, p, k, T)
+        want = dataclasses.replace(state, W=state.W.copy())
+        reference_sweep_W(data, want, hp)
+        sweep_W(data, state, hp)
+        assert np.array_equal(state.W, want.W), (kind, T, p, k)
+
+
+def test_fit_aborts_naming_the_task_on_a_singular_w_system(monkeypatch):
+    train, _, _ = generate(SynthConfig(T=3, p=12, k=3, n_per_task=60, graph_kind="path", seed=4))
+
+    def singular(data, state, hp):
+        return np.zeros((data.n_tasks, hp.k, hp.k)), np.ones((data.n_tasks, hp.k))
+
+    monkeypatch.setattr(solver_module, "w_systems", singular)
+    with pytest.raises(NumericalAbort, match=f"W subproblem solve failed for task {train.tasks[0].road_id!r}"):
+        fit(train, Hyperparams(k=3, max_iter=5))
 
 
 # ------------------------------------------------------------------ Q update
@@ -411,6 +474,18 @@ def test_update_q_retracted_steps_stay_feasible_and_descend():
         new_Q, stalled = update_Q(data, state, grad_Q(data, state, hp), hp)
         assert_feasible(new_Q)
         assert smooth_lagrangian(data, new_Q, state.W, state, hp) <= base + 1e-12 * max(1.0, abs(base))
+
+
+def test_retract_matches_its_first_form_bit_for_bit():
+    rng = np.random.default_rng(35)
+    for _ in range(300):
+        p = int(rng.integers(2, 16))
+        k = int(rng.integers(1, p + 1))
+        Q = rng.standard_normal((p, k))
+        Q[rng.random(p) < 0.3] *= -1.0  # rows with no positive entry drop out; columns empty out
+        if rng.random() < 0.2:
+            Q[:, int(rng.integers(k))] = -1.0
+        assert np.array_equal(retract(Q), reference_retract(Q))
 
 
 def test_retract_is_feasible_and_keeps_each_rows_largest_entry():
@@ -780,6 +855,24 @@ def test_fit_aborts_on_non_finite_values():
     q_bad = np.full((12, 3), np.nan)
     with pytest.raises(NumericalAbort, match="non-finite values in .* at iteration 1"):
         fit(train, Hyperparams(k=3, max_iter=5), q0=q_bad)
+
+
+@pytest.mark.parametrize("name", ["W", "Q", "U_W", "U_Q", "Lambda1", "Lambda2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_finite_names_the_non_finite_array(name, bad):
+    state = random_state(np.random.default_rng(33), 6, 3, 4)
+    check_finite(state, 7)
+    getattr(state, name)[-1, -1] = bad
+    with pytest.raises(NumericalAbort, match=f"^non-finite values in {name} at iteration 7$"):
+        check_finite(state, 7)
+
+
+def test_check_finite_passes_finite_arrays_whose_sum_overflows():
+    state = random_state(np.random.default_rng(34), 6, 3, 4)
+    state.W[:] = 1e308
+    state.Lambda2[:] = -1e308
+    with np.errstate(all="raise"):
+        check_finite(state, 1)
 
 
 def test_fit_stalled_q_step_never_converges():
