@@ -6,15 +6,20 @@ multi-task model or a baseline, predict, evaluate models side by side,
 sweep the group count, and dump group-assignment reports.
 
 Exit codes: 0 success, 2 input/config error or a file that cannot be
-written, 3 numerical failure.
+written, 3 numerical failure. A command that writes one file checks that
+the file's directory exists, and that the file is not a directory, before
+it reads or fits anything.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import logging
+import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -28,6 +33,24 @@ log = logging.getLogger("titan")
 
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL = 3
+
+
+def _check_out(path):
+    """Raise the OSError that writing `path` would, unless its parent is an
+    existing directory and it is not one: checked before a command reads
+    or fits anything."""
+    try:
+        mode = os.stat(Path(path).parent).st_mode
+    except OSError as exc:
+        code = exc.errno
+    else:
+        if not stat.S_ISDIR(mode):
+            code = errno.ENOTDIR
+        elif os.path.isdir(path):
+            code = errno.EISDIR
+        else:
+            return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _load_hyperparams(args):
@@ -51,6 +74,7 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
+    _check_out(args.out)
     hp = _load_hyperparams(args)
     train = storage.read_split(args.dataset, "train")
     started = time.perf_counter()
@@ -67,6 +91,7 @@ def cmd_train(args):
 
 
 def cmd_train_baseline(args):
+    _check_out(args.out)
     train, test = storage.read_dataset(args.dataset)
     grid = [args.lam] if args.lam is not None else list(baselines.default_grid(args.kind))
     best = None
@@ -82,6 +107,7 @@ def cmd_train_baseline(args):
 
 
 def cmd_predict(args):
+    _check_out(args.out)
     model = storage.read_model(args.model)
     X = storage.read_matrix_csv(args.x)
     started = time.perf_counter()
@@ -93,6 +119,7 @@ def cmd_predict(args):
 
 
 def cmd_evaluate(args):
+    _check_out(args.out)
     test = storage.read_split(args.dataset, "test")
     reports = []
     label_counts = {}
@@ -114,6 +141,7 @@ def cmd_evaluate(args):
 
 
 def cmd_sweep_k(args):
+    _check_out(args.out)
     hp = _load_hyperparams(args)
     try:
         k_values = [int(v) for v in args.k.split(",") if v.strip()]
@@ -128,6 +156,7 @@ def cmd_sweep_k(args):
 
 
 def cmd_report_groups(args):
+    _check_out(args.out)
     model = storage.read_model(args.model)
     if not isinstance(model, solver.TrainedModel):
         raise InputError("group reports require a grouped model, not a baseline")

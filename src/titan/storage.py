@@ -7,6 +7,9 @@ generated synthetically, and `train/` + `test/` subdirectories with
 which round-trips doubles exactly, so regeneration with the same seed
 is byte-identical.
 
+write_matrix_csv and write_dataset encode those bytes in numpy blocks
+(see csvfmt), not with one `%` per value.
+
 The CSVs are the source of truth. Beside the CSVs of a split,
 write_dataset saves the same values once more as `cache.<key>.npy`: one
 float64 vector holding each task's X (row-major) then Y, in task order.
@@ -39,6 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import csvfmt
 from .baselines import BaselineModel
 from .errors import InputError, read_input_bytes, read_input_text
 from .features import MultiTaskDataset, TaskDataset
@@ -46,12 +50,7 @@ from .roadnet import TaskGraph, check_road_id
 from .solver import Hyperparams, TrainedModel
 from .synth import GroundTruth, SynthConfig
 
-FLOAT_FMT = "%.17g"
 SPLITS = ("train", "test")
-# Rows formatted by one `%` call in write_matrix_csv. Larger blocks run
-# no faster (the %.17g conversions dominate) and only raise peak memory:
-# on a 24-task, 500-row dataset, 2048 rows cost synth 1.4 MB of peak RSS.
-WRITE_BLOCK_ROWS = 64
 # A split's parse cache (see the module docstring).
 _CACHE_NAME = re.compile(r"cache\.[0-9a-f]{64}\.npy")
 # Hyperparameters that model files written by earlier versions still hold;
@@ -82,17 +81,26 @@ def _load_json(path):
 def write_matrix_csv(path, M):
     """Write M as %.17g CSV; returns the sha256 hex digest of the bytes
     written."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    row = ",".join([FLOAT_FMT] * M.shape[1]) + "\n"
-    blocks = (M[start:start + WRITE_BLOCK_ROWS] for start in range(0, len(M), WRITE_BLOCK_ROWS))
-    chunks = ((row * len(block)) % tuple(block.ravel().tolist()) for block in blocks)
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for chunk in chunks if len(M) else ["\n"]:  # no rows: the empty join plus its newline
-            data = chunk.encode("ascii")
-            fh.write(data)
-            digest.update(data)
-    return digest.hexdigest()
+    return _write_csvs([path], [np.atleast_2d(np.asarray(M, dtype=float))])[0]
+
+
+def _write_csvs(paths, matrices):
+    """Write each 2-D float64 matrix as the %.17g CSV at its path, one file
+    after another; returns the sha256 hex digest of each file's bytes."""
+    digests, fh = [], None
+    try:
+        for i, text in csvfmt.csv_chunks(matrices):
+            if i == len(digests):  # the first chunk of the next file
+                if fh is not None:
+                    fh.close()
+                fh = open(paths[i], "wb")
+                digests.append(hashlib.sha256())
+            fh.write(text)
+            digests[i].update(text)
+    finally:
+        if fh is not None:
+            fh.close()
+    return [digest.hexdigest() for digest in digests]
 
 
 def read_matrix_csv(path, columns=None):
@@ -125,11 +133,13 @@ def _cache_path(sub, p, digests):
 
 def _write_split(sub, ds: MultiTaskDataset):
     """The split's CSVs and, beside them, its parse cache."""
-    digests, matrices = [], []
+    paths, csvs, matrices = [], [], []
     for td in ds.tasks:
-        digests.append(write_matrix_csv(sub / f"X_{td.road_id}.csv", td.X))
-        digests.append(write_matrix_csv(sub / f"Y_{td.road_id}.csv", td.Y[:, None]))
-        matrices += [np.ascontiguousarray(M, dtype=np.float64) for M in (td.X, td.Y)]
+        X, Y = (np.ascontiguousarray(M, dtype=np.float64) for M in (td.X, td.Y))
+        paths += [sub / f"X_{td.road_id}.csv", sub / f"Y_{td.road_id}.csv"]
+        csvs += [X, Y[:, None]]
+        matrices += [X, Y]
+    digests = _write_csvs(paths, csvs)
     fmt = np.lib.format
     header = {"descr": fmt.dtype_to_descr(np.dtype(np.float64)), "fortran_order": False,
               "shape": (sum(M.size for M in matrices),)}

@@ -234,9 +234,11 @@ def nmtl_objective(data, B, lam):
 
 # ----------------------------------------------------------- per-cell CSV codec
 #
-# The library formats a block of rows with one `%`; the writer here
-# formats each cell. The reader here is a second copy of the library's
-# line-by-line float() parse, kept as a drift guard for it.
+# The library encodes blocks of values with numpy and takes `%` only for
+# what %.17g prints in exponent form, zeros and non-finite values; the
+# writer here formats each cell with `%`. The reader here is a second
+# copy of the library's line-by-line float() parse, kept as a drift guard
+# for it.
 
 
 def cell_write_matrix_csv(path, M):

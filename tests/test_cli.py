@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import parse_report_csv, split_cache_path
+from helpers import cell_write_matrix_csv, parse_report_csv, split_cache_path
 
 import titan
 from titan import evaluation
@@ -255,7 +255,7 @@ def test_predict_with_baseline_model(small_ds, tmp_path):
                  "--task", "r01", "--out", str(out)]) == 0
     want = tmp_path / "want.csv"
     X = read_matrix_csv(x_path)
-    write_matrix_csv(want, (X @ read_model(model_path).weights[:, 1])[:, None])
+    cell_write_matrix_csv(want, (X @ read_model(model_path).weights[:, 1])[:, None])
     assert out.read_bytes() == want.read_bytes()
     assert read_matrix_csv(out, columns=1).shape == (3, 1)
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from helpers import split_cache_path
 
+from titan import baselines, solver, storage
 from titan.cli import main
 
 # Scalars and containers that a JSON field of any type might hold instead.
@@ -302,21 +303,39 @@ WRITERS = {
 FILE_WRITERS = sorted(set(WRITERS) - {"synth", "assemble"})
 
 
-def assert_unwritable(world, command, out):
+def assert_unwritable(world, monkeypatch, command, out):
+    """The command exits 2 naming `out`. No command calls a dataset, model
+    or matrix reader or a fit first: those raise here if called."""
+    def reached(*args, **kwargs):
+        raise AssertionError("reached before the --out check")
+
+    for module, name in [(solver, "fit"), (baselines, "fit_baseline"), (storage, "read_split"),
+                         (storage, "read_dataset"), (storage, "read_model"), (storage, "read_matrix_csv"),
+                         (storage, "read_hyperparams")]:
+        monkeypatch.setattr(module, name, reached)
     root, ds = world
     code, err = run_cli(WRITERS[command](root, ds) + [out])
     assert code == 2, (command, code, err)
     assert err.startswith(f"error: {out}: ") and "Traceback" not in err, err
-    assert not out.exists()
+    assert out.is_dir() or not out.exists()
 
 
 @pytest.mark.parametrize("command", FILE_WRITERS)
-def test_out_inside_a_missing_directory_exits_2(world, command):
+def test_out_inside_a_missing_directory_exits_2(world, monkeypatch, command):
     root, _ = world
-    assert_unwritable(world, command, root / "no-such-dir" / "out")
+    assert_unwritable(world, monkeypatch, command, root / "no-such-dir" / "out")
 
 
 @pytest.mark.parametrize("command", sorted(WRITERS))
-def test_out_under_a_regular_file_exits_2(world, command):
+def test_out_under_a_regular_file_exits_2(world, monkeypatch, command):
     root, _ = world
-    assert_unwritable(world, command, root / "hp.json" / "out")
+    assert_unwritable(world, monkeypatch, command, root / "hp.json" / "out")
+
+
+@pytest.mark.parametrize("command", FILE_WRITERS)
+def test_out_that_is_a_directory_exits_2(world, monkeypatch, command):
+    root, _ = world
+    out = root / "raw"
+    before = sorted(out.rglob("*"))
+    assert_unwritable(world, monkeypatch, command, out)
+    assert sorted(out.rglob("*")) == before

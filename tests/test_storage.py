@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from titan import storage
 from titan.baselines import BaselineModel
 from titan.cli import main
 from titan.errors import InputError
+from titan.features import MultiTaskDataset, TaskDataset
 from titan.solver import Hyperparams, TrainedModel, fit
 from titan.storage import (
     read_dataset,
@@ -186,6 +188,101 @@ def test_matrix_csv_writer_named_values_match_reference(tmp_path):
         cell_write_matrix_csv(tmp_path / "cell.csv", M)
         assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
     assert (tmp_path / "bulk.csv").read_text().splitlines()[0] == "4.9406564584124654e-324,4.9406564584124654e-324"
+
+
+# The powers of ten that bound the decades %.17g prints in fixed notation
+# (1e-4 up to 1e17) and the exponent-form decades around them.
+POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-9, 21)])
+
+
+def _decades(rng):
+    """Every decade from 1e-8 to 1e19: full-precision values, the same
+    rounded to a few decimals, and on a binary grid, whose short digit
+    strings have trailing zeros to trim; all with both signs."""
+    cols = []
+    for d in range(-8, 20):
+        x = rng.uniform(1.0, 10.0, 64) * POWERS_OF_TEN[d + 9]
+        cols += [x] + [np.round(x, k) for k in range(4)] + [np.round(x * 4) / 4, np.round(x, 4 - d)]
+    x = np.concatenate(cols)
+    return np.concatenate([x, -x]).reshape(-1, 8)
+
+
+def _neighbours_of_powers_of_ten(rng):
+    p = POWERS_OF_TEN
+    x = np.stack([p, np.nextafter(p, 0), np.nextafter(np.nextafter(p, 0), 0),
+                  np.nextafter(p, np.inf), np.nextafter(np.nextafter(p, np.inf), np.inf)], axis=1)
+    return np.concatenate([x, -x])
+
+
+def _ties(rng):
+    """m * 2**-(17 - e), m odd, in decade e: exactly half a unit in the 17th
+    significant digit, so %.17g rounds it half to even."""
+    cols = []
+    for e in range(-4, 16):
+        scale = 2.0 ** (17 - e)
+        lo, hi = int(np.ceil(10.0 ** e * scale)), min(int(10.0 ** (e + 1) * scale), 2 ** 53)
+        m = rng.integers(lo, hi, 256) | 1
+        x = np.ldexp(m.astype(float), e - 17)
+        assert all(Decimal(v).scaleb(16 - e) % 1 == Decimal("0.5") for v in x[:16].tolist())
+        cols.append(x)
+    x = np.concatenate(cols)
+    return np.concatenate([x, -x]).reshape(-1, 4)
+
+
+def _bit_patterns(rng):
+    return rng.integers(0, 2 ** 64, (4000, 10), dtype=np.uint64).view(np.float64)
+
+
+def _specials(rng):
+    subnormal = rng.integers(1, 2 ** 52, 32, dtype=np.uint64).view(np.float64)
+    return np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                            2.2250738585072009e-308, 2.2250738585072014e-308], subnormal, -subnormal])[:, None]
+
+
+EXACTNESS_CASES = {
+    "decades": _decades,
+    "powers_of_ten": _neighbours_of_powers_of_ten,
+    # the literals round to the double nearest the next power of ten
+    "carries": lambda rng: np.array([[9.9999999999999999e-5, 0.99999999999999999, 9.9999999999999999,
+                                      9999999999999999.9, 99999999999999999.0, 9.99999999999999999e-6]]),
+    "ties": _ties,
+    "bit_patterns": _bit_patterns,
+    "specials": _specials,
+    "no_rows": lambda rng: np.zeros((0, 5)),
+    "no_columns": lambda rng: np.zeros((3, 0)),
+    "one_column": lambda rng: rng.standard_normal((5000, 1)),
+    "one_row": lambda rng: rng.standard_normal((1, 3000)),
+    "one_value": lambda rng: np.array([[0.1]]),
+    "several_blocks": lambda rng: rng.standard_normal((700, 7)) * 10.0 ** rng.integers(-6, 18, (700, 7)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACTNESS_CASES))
+def test_matrix_csv_writer_exact_on_constructed_values(tmp_path, case):
+    M = EXACTNESS_CASES[case](np.random.default_rng(1301))
+    write_matrix_csv(tmp_path / "bulk.csv", M)
+    cell_write_matrix_csv(tmp_path / "cell.csv", M)
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+
+
+def test_dataset_csvs_match_per_cell_reference(tmp_path):
+    """A split's CSVs are encoded together, so one block holds the rows of
+    several files and a file's rows span blocks; each file must still read
+    as if written on its own."""
+    rng = np.random.default_rng(1302)
+    ds = random_dataset(rng, 9, 7, n_range=(1, 400))
+    tasks = []
+    for td in ds.tasks:
+        X = td.X * 10.0 ** rng.integers(-7, 18, td.X.shape)
+        X[rng.random(X.shape) < 0.05] = 0.0
+        Y = np.where(rng.random(td.n) < 0.1, np.nan, td.Y * 10.0 ** rng.integers(-6, 18, td.n))
+        tasks.append(TaskDataset(td.road_id, X, Y))
+    ds = MultiTaskDataset(tuple(tasks), ds.graph, ds.h, ds.t)
+    root = write_dataset(tmp_path / "ds", ds, ds)
+    for td in ds.tasks:
+        for name, M in ((f"X_{td.road_id}.csv", td.X), (f"Y_{td.road_id}.csv", td.Y[:, None])):
+            cell_write_matrix_csv(tmp_path / "cell.csv", M)
+            assert (root / "train" / name).read_bytes() == (tmp_path / "cell.csv").read_bytes(), name
 
 
 # ------------------------------------------------------------------- dataset
