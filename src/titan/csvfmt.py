@@ -3,8 +3,7 @@
 The bytes are exactly those of a per-cell writer: `'%.17g' % v` for each
 cell, cells joined by ",", each row ended by "\\n", and a matrix with no
 cells written as one "\\n" per row (one for no rows). They are encoded a
-block of about BLOCK_VALUES values at a time, whole rows, across matrix
-boundaries, so many small matrices cost few numpy calls.
+block of about BLOCK_VALUES values at a time, whole rows.
 
 %.17g prints x in fixed notation when its decimal exponent e (of x
 rounded to 17 significant digits) is in -4..16. For those values the 17
@@ -18,7 +17,9 @@ prints, by a mask looked up from (e, sign, significant digits). What
 %.17g prints in exponent form, zeros and non-finite values take `%`,
 one value each.
 
-On a 2-core machine that is ~100 ns a value against ~450 for `%`. The
+On a 2-core machine that is ~100 ns a value against ~450 for `%`, plus
+~80 us of numpy calls a block, so a CSV of fewer than ~200 values (a
+short label column) is written slower than `%` would write it. The
 lookup tables are built on the first write, so commands that write no
 CSV pay nothing for them. Importing the module with the rest of titan,
 not on the first write, costs every command ~1 ms of compiling when no
@@ -48,59 +49,21 @@ _CELL = _CELL_TEMPLATE.size
 _FIXED_MIN, _FIXED_MAX = -4, 16
 
 
-def csv_chunks(matrices):
-    """Yield (i, text) for the 2-D float64 matrices in order: the CSV bytes
-    of matrix i in chunks of whole rows, at least one chunk a matrix."""
-    cells = np.empty((0, _CELL), dtype=np.uint8)
-    for block in _blocks(matrices):
-        i, first = block[0]
-        if not first.size:
-            yield i, b"\n" * max(len(first), 1)
-            continue
-        v = np.concatenate([rows.ravel() for _, rows in block])
-        if len(cells) < len(v):
-            cells = np.empty((len(v), _CELL), dtype=np.uint8)
-            cells[:] = _CELL_TEMPLATE
-        seps = np.full(len(v), ord(","), dtype=np.uint8)
-        start = 0
-        for _, rows in block:
-            n, p = rows.shape
-            seps[start + p - 1:start + n * p:p] = ord("\n")
-            start += n * p
-        data = _encode(v, cells[:len(v)], seps)
-        if len(block) == 1:
-            yield i, data
-            continue
-        # Cut the text after each piece's last row.
-        lines = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")) + 1
-        ends = lines[np.cumsum([len(rows) for _, rows in block]) - 1].tolist()
-        for (i, _), start, end in zip(block, [0] + ends, ends):
-            yield i, data[start:end]
-
-
-def _blocks(matrices):
-    """Lists of (i, rows) pieces: the rows of each matrix in order, about
-    BLOCK_VALUES values a list. A matrix with no cells is a list alone."""
-    block, room = [], BLOCK_VALUES
-    for i, M in enumerate(matrices):
-        n, p = M.shape
-        if not M.size:
-            if block:
-                yield block
-            yield [(i, M)]
-            block, room = [], BLOCK_VALUES
-            continue
-        start = 0
-        while start < n:
-            if room < p and block:
-                yield block
-                block, room = [], BLOCK_VALUES
-            rows = M[start:start + max(1, room // p)]
-            block.append((i, rows))
-            room -= rows.size
-            start += len(rows)
-    if block:
-        yield block
+def csv_chunks(M):
+    """Yield the CSV bytes of the 2-D float64 matrix M in chunks of whole
+    rows, about BLOCK_VALUES values a chunk."""
+    n, p = M.shape
+    if not M.size:
+        yield b"\n" * max(n, 1)
+        return
+    rows = max(1, BLOCK_VALUES // p)
+    # Every byte of a cell is written for each block, so no template fill.
+    cells = np.empty((min(n, rows) * p, _CELL), dtype=np.uint8)
+    seps = np.full(len(cells), ord(","), dtype=np.uint8)
+    seps[p - 1::p] = ord("\n")
+    for start in range(0, n, rows):
+        v = M[start:start + rows].ravel()
+        yield _encode(v, cells[:len(v)], seps[:len(v)])
 
 
 @functools.cache
@@ -167,7 +130,7 @@ def _scaled(a, e, t):
 
 def _encode(v, cells, seps):
     """The %.17g text of the doubles v, each followed by its separator
-    byte from seps; cells is the block's template, (len(v), 40) bytes."""
+    byte from seps; cells is a (len(v), 40) byte buffer to encode into."""
     t = _tables()
     a = np.abs(v)
     # Exactly the values %.17g prints in fixed notation (1e-4 is a double

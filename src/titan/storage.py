@@ -81,26 +81,13 @@ def _load_json(path):
 def write_matrix_csv(path, M):
     """Write M as %.17g CSV; returns the sha256 hex digest of the bytes
     written."""
-    return _write_csvs([path], [np.atleast_2d(np.asarray(M, dtype=float))])[0]
-
-
-def _write_csvs(paths, matrices):
-    """Write each 2-D float64 matrix as the %.17g CSV at its path, one file
-    after another; returns the sha256 hex digest of each file's bytes."""
-    digests, fh = [], None
-    try:
-        for i, text in csvfmt.csv_chunks(matrices):
-            if i == len(digests):  # the first chunk of the next file
-                if fh is not None:
-                    fh.close()
-                fh = open(paths[i], "wb")
-                digests.append(hashlib.sha256())
-            fh.write(text)
-            digests[i].update(text)
-    finally:
-        if fh is not None:
-            fh.close()
-    return [digest.hexdigest() for digest in digests]
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for data in csvfmt.csv_chunks(M):
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def read_matrix_csv(path, columns=None):
@@ -133,13 +120,11 @@ def _cache_path(sub, p, digests):
 
 def _write_split(sub, ds: MultiTaskDataset):
     """The split's CSVs and, beside them, its parse cache."""
-    paths, csvs, matrices = [], [], []
+    digests, matrices = [], []
     for td in ds.tasks:
-        X, Y = (np.ascontiguousarray(M, dtype=np.float64) for M in (td.X, td.Y))
-        paths += [sub / f"X_{td.road_id}.csv", sub / f"Y_{td.road_id}.csv"]
-        csvs += [X, Y[:, None]]
-        matrices += [X, Y]
-    digests = _write_csvs(paths, csvs)
+        digests.append(write_matrix_csv(sub / f"X_{td.road_id}.csv", td.X))
+        digests.append(write_matrix_csv(sub / f"Y_{td.road_id}.csv", td.Y[:, None]))
+        matrices += [np.ascontiguousarray(M, dtype=np.float64) for M in (td.X, td.Y)]
     fmt = np.lib.format
     header = {"descr": fmt.dtype_to_descr(np.dtype(np.float64)), "fortran_order": False,
               "shape": (sum(M.size for M in matrices),)}

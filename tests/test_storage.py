@@ -16,7 +16,6 @@ from titan import storage
 from titan.baselines import BaselineModel
 from titan.cli import main
 from titan.errors import InputError
-from titan.features import MultiTaskDataset, TaskDataset
 from titan.solver import Hyperparams, TrainedModel, fit
 from titan.storage import (
     read_dataset,
@@ -263,26 +262,6 @@ def test_matrix_csv_writer_exact_on_constructed_values(tmp_path, case):
     write_matrix_csv(tmp_path / "bulk.csv", M)
     cell_write_matrix_csv(tmp_path / "cell.csv", M)
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
-
-
-def test_dataset_csvs_match_per_cell_reference(tmp_path):
-    """A split's CSVs are encoded together, so one block holds the rows of
-    several files and a file's rows span blocks; each file must still read
-    as if written on its own."""
-    rng = np.random.default_rng(1302)
-    ds = random_dataset(rng, 9, 7, n_range=(1, 400))
-    tasks = []
-    for td in ds.tasks:
-        X = td.X * 10.0 ** rng.integers(-7, 18, td.X.shape)
-        X[rng.random(X.shape) < 0.05] = 0.0
-        Y = np.where(rng.random(td.n) < 0.1, np.nan, td.Y * 10.0 ** rng.integers(-6, 18, td.n))
-        tasks.append(TaskDataset(td.road_id, X, Y))
-    ds = MultiTaskDataset(tuple(tasks), ds.graph, ds.h, ds.t)
-    root = write_dataset(tmp_path / "ds", ds, ds)
-    for td in ds.tasks:
-        for name, M in ((f"X_{td.road_id}.csv", td.X), (f"Y_{td.road_id}.csv", td.Y[:, None])):
-            cell_write_matrix_csv(tmp_path / "cell.csv", M)
-            assert (root / "train" / name).read_bytes() == (tmp_path / "cell.csv").read_bytes(), name
 
 
 # ------------------------------------------------------------------- dataset
