@@ -1,12 +1,12 @@
 """Single-task and naive multi-task reference models.
 
-Ridge is closed form, from the data rows: it also seeds the solver's
+Every fit reads the dataset's cached Gram statistics, as the grouped
+solver does, and returns p x T weights, a column per task. Ridge is
+closed form, through a Cholesky factor, and also seeds the solver's
 start (structured_q0). Lasso and the l2,1-coupled naive multi-task
 learner (nMTL) differ only in their penalty and its proximal map. Both
 run one accelerated proximal-gradient loop over all tasks' weights, with
-a monotone restart so the objective never increases, and evaluate the
-squared loss from the dataset's cached Gram statistics, the form the
-grouped solver uses.
+a monotone restart so the objective never increases.
 """
 
 from __future__ import annotations
@@ -15,17 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
-from .features import GramStats, MultiTaskDataset, TaskDataset
+from .errors import InputError, NumericalAbort
+from .features import GramStats, MultiTaskDataset
 from .prox import norm_l1, norm_l21, prox_l21, soft_threshold
 
-BASELINE_KINDS = ("ridge", "lasso", "nmtl")
 FISTA_TOL = 1e-8
 FISTA_MAX_ITER = 10000
-
-RIDGE_GRID = (10.0, 100.0)
-LASSO_GRID = (1.0, 10.0, 100.0)
-NMTL_GRID = (1.0, 10.0, 100.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,14 +56,26 @@ class BaselineModel:
         return self.weights[:, r]
 
 
-def fit_ridge(task: TaskDataset, lam):
-    """Closed-form ridge: (2/n X^T X + 2 lam I) w = 2/n X^T Y."""
+def fit_ridge(data: MultiTaskDataset, lam):
+    """Per-task ridge, p x T: w_r = (S_r + lam I)^-1 b_r minimizes
+    ||X_r w - Y_r||^2 / n_r + lam ||w||^2. One batched Cholesky factor,
+    then a forward and a back substitution, each a p-step loop over all
+    tasks (numpy has no triangular solve). Unlike np.linalg.solve, both
+    steps round alike at any BLAS thread count."""
     if not lam > 0:
         raise InputError(f"ridge lambda must be positive, got {lam}")
-    X, Y, n = task.X, task.Y, task.n
-    A = (2.0 / n) * (X.T @ X)
-    A[np.diag_indices(task.p)] += 2.0 * lam
-    return np.linalg.solve(A, (2.0 / n) * (X.T @ Y))
+    gs = data.gram
+    try:
+        L = np.linalg.cholesky(gs.S + lam * np.eye(data.p))
+    except np.linalg.LinAlgError:
+        raise NumericalAbort(f"ridge lambda={lam:g}: S_r + lambda I is not positive definite") from None
+    z = np.empty_like(gs.B)  # (T, p): L_r z_r = b_r
+    for i in range(data.p):
+        z[:, i] = (gs.B[:, i] - (L[:, i, :i] * z[:, :i]).sum(axis=1)) / L[:, i, i]
+    w = np.empty_like(z)  # L_r^T w_r = z_r
+    for i in reversed(range(data.p)):
+        w[:, i] = (z[:, i] - (L[:, i + 1:, i] * w[:, i + 1:]).sum(axis=1)) / L[:, i, i]
+    return w.T
 
 
 def _fista(gs: GramStats, lam, prox, penalty):
@@ -131,27 +138,20 @@ def fit_nmtl(data: MultiTaskDataset, lam):
     return _fista(data.gram, lam, prox_l21, norm_l21)[0]
 
 
+# kind -> (fit(data, lam) returning p x T weights, default penalty grid)
+BASELINES = {
+    "ridge": (fit_ridge, (10.0, 100.0)),
+    "lasso": (fit_lasso, (1.0, 10.0, 100.0)),
+    "nmtl": (fit_nmtl, (1.0, 10.0, 100.0)),
+}
+BASELINE_KINDS = tuple(BASELINES)
+
+
 def fit_baseline(kind, data: MultiTaskDataset, lam) -> BaselineModel:
     """Train one baseline at one penalty over the whole dataset."""
     if not np.isfinite(lam):
         raise InputError(f"lambda must be finite, got {lam}")
-    if kind == "ridge":
-        W = np.column_stack([fit_ridge(td, lam) for td in data.tasks])
-    elif kind == "lasso":
-        W = fit_lasso(data, lam)
-    elif kind == "nmtl":
-        W = fit_nmtl(data, lam)
-    else:
+    if kind not in BASELINES:
         raise InputError(f"unknown baseline kind {kind!r}")
+    W = BASELINES[kind][0](data, lam)
     return BaselineModel(kind=kind, weights=W, tasks=tuple(data.graph.tasks), lam=lam)
-
-
-def default_grid(kind):
-    if kind == "ridge":
-        return RIDGE_GRID
-    if kind == "lasso":
-        return LASSO_GRID
-    if kind == "nmtl":
-        return NMTL_GRID
-    raise InputError(f"unknown baseline kind {kind!r}")
-

@@ -54,9 +54,9 @@ class IncidentRecord:
     duration_minutes: float
 
     def __post_init__(self):
-        if not self.duration_minutes > 0:
+        if not 0 < self.duration_minutes < np.inf:
             raise InputError(
-                f"incident {self.incident_id!r}: duration must be positive, got {self.duration_minutes}"
+                f"incident {self.incident_id!r}: duration must be positive and finite, got {self.duration_minutes}"
             )
 
 
@@ -75,8 +75,9 @@ class TaskDataset:
             raise InputError(f"task {self.road_id!r}: X rows must match Y length")
         if X.shape[0] < 1:
             raise InputError(f"task {self.road_id!r}: needs at least one sample")
-        if not np.all(np.isfinite(X)):
-            raise InputError(f"task {self.road_id!r}: X contains non-finite entries")
+        for name, M in (("X", X), ("Y", Y)):
+            if not np.all(np.isfinite(M)):
+                raise InputError(f"task {self.road_id!r}: {name} contains non-finite entries")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+from .baselines import fit_ridge
 from .errors import InputError, NumericalAbort, check_field_types
 from .features import MultiTaskDataset
 from .prox import clip_nonneg, norm_fro, norm_l1, norm_l21, prox_l21, soft_threshold_nonneg
@@ -368,9 +369,7 @@ def structured_q0(data: MultiTaskDataset, k):
     magnitudes, normalized: disjoint supports, so Q0 is exactly
     feasible. Deterministic given the data.
     """
-    from .baselines import fit_ridge
-
-    B = np.column_stack([fit_ridge(td, 0.01) for td in data.tasks])
+    B = fit_ridge(data, 0.01)
     norms = np.linalg.norm(B, axis=1)
     F = (np.vstack([B[:1], B[:-1]]) + B + np.vstack([B[1:], B[-1:]])) / 3.0
     fn = np.linalg.norm(F, axis=1)

@@ -4,7 +4,8 @@ Oracles deliberately avoid the closed forms used by the library: prox
 operators are checked against numeric minimization of their defining
 objectives, gradients against central finite differences of the smooth
 Lagrangian, norms/metrics against explicit Python loops, the
-Gram-statistics loss forms against residuals taken row by row, and the
+Gram-statistics loss forms against residuals taken row by row, ridge's
+Cholesky substitutions against one np.linalg.solve per task, and the
 bulk CSV codec against a per-cell writer and a per-line reader.
 
 Four pieces here only serve tests: the closed-form gradient in one
@@ -221,6 +222,16 @@ def lasso_objective(task, w, lam):
     """||X w - Y||^2 / n + lam ||w||_1 for one TaskDataset, from the rows."""
     resid = task.X @ w - task.Y
     return float(resid @ resid) / task.n + lam * float(np.sum(np.abs(w)))
+
+
+def row_form_ridge(data, lam):
+    """Per-task ridge from the rows, p x T: one np.linalg.solve of
+    (2/n X^T X + 2 lam I) w = 2/n X^T Y per task."""
+    cols = []
+    for td in data.tasks:
+        A = (2.0 / td.n) * (td.X.T @ td.X) + 2.0 * lam * np.eye(td.p)
+        cols.append(np.linalg.solve(A, (2.0 / td.n) * (td.X.T @ td.Y)))
+    return np.column_stack(cols)
 
 
 def nmtl_objective(data, B, lam):

@@ -22,7 +22,7 @@ from helpers import (
     oracle_soft_threshold_nonneg,
     random_instance,
 )
-from titan.baselines import default_grid, fit_baseline, fit_nmtl
+from titan.baselines import BASELINES, fit_baseline, fit_nmtl
 from titan.cli import main
 from titan.evaluation import mae, mape, pooled_rmse, recovery_jaccard, rmse
 from titan.prox import prox_l21, soft_threshold, soft_threshold_nonneg
@@ -40,7 +40,7 @@ def report(capsys, ok, name, detail):
 
 def best_of_grid(kind, train, test):
     best_score, best_model = None, None
-    for lam in default_grid(kind):
+    for lam in BASELINES[kind][1]:
         model = fit_baseline(kind, train, lam)
         score = pooled_rmse(model, test)
         if best_score is None or score < best_score:

@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from helpers import lasso_objective, nmtl_objective, random_dataset
+from helpers import lasso_objective, nmtl_objective, random_dataset, row_form_ridge
 from titan.baselines import (
+    BASELINE_KINDS,
+    BASELINES,
     BaselineModel,
-    LASSO_GRID,
-    NMTL_GRID,
-    RIDGE_GRID,
     _fista,
-    default_grid,
     fit_baseline,
     fit_lasso,
     fit_nmtl,
@@ -35,6 +33,11 @@ def one_task_dataset(task):
     """A MultiTaskDataset holding the single TaskDataset `task`."""
     h = task.p // 2
     return MultiTaskDataset((task,), TaskGraph.from_task_edges((task.road_id,), []), h, task.p - h)
+
+
+def ridge_one(task, lam):
+    """fit_ridge on a one-task dataset holding `task`, as a length-p vector."""
+    return fit_ridge(one_task_dataset(task), lam)[:, 0]
 
 
 def lasso_one(task, lam):
@@ -70,13 +73,13 @@ def test_ridge_identity_design_interpolates_as_lambda_vanishes():
     rng = np.random.default_rng(0)
     Y = rng.standard_normal(5)
     task = TaskDataset("a", np.eye(5), Y)
-    np.testing.assert_allclose(fit_ridge(task, 1e-12), Y, atol=1e-9)
+    np.testing.assert_allclose(ridge_one(task, 1e-12), Y, atol=1e-9)
 
 
 def test_ridge_huge_lambda_shrinks_to_zero():
     rng = np.random.default_rng(1)
     task, _ = single_task(rng)
-    w = fit_ridge(task, 1e9)
+    w = ridge_one(task, 1e9)
     assert np.max(np.abs(w)) < 1e-6
 
 
@@ -84,7 +87,7 @@ def test_ridge_solution_is_stationary():
     rng = np.random.default_rng(2)
     for lam in (0.01, 1.0, 50.0):
         task, _ = single_task(rng)
-        w = fit_ridge(task, lam)
+        w = ridge_one(task, lam)
         grad = (2.0 / task.n) * (task.X.T @ (task.X @ w - task.Y)) + 2.0 * lam * w
         assert np.max(np.abs(grad)) < 1e-8
 
@@ -92,17 +95,25 @@ def test_ridge_solution_is_stationary():
 def test_ridge_matches_independent_solve():
     rng = np.random.default_rng(3)
     task, _ = single_task(rng)
-    lam = 0.7
-    A = (2.0 / task.n) * (task.X.T @ task.X) + 2.0 * lam * np.eye(task.p)
-    b = (2.0 / task.n) * (task.X.T @ task.Y)
-    np.testing.assert_allclose(fit_ridge(task, lam), np.linalg.solve(A, b), atol=1e-12)
+    data = one_task_dataset(task)
+    np.testing.assert_allclose(fit_ridge(data, 0.7), row_form_ridge(data, 0.7), atol=1e-12)
 
 
 def test_ridge_rejects_nonpositive_lambda():
     rng = np.random.default_rng(4)
     task, _ = single_task(rng)
     with pytest.raises(InputError, match="positive"):
-        fit_ridge(task, 0.0)
+        fit_ridge(one_task_dataset(task), 0.0)
+
+
+@pytest.mark.parametrize("p, n_range", [(120, (150, 200)), (8, (3, 7))], ids=["p120", "fewer-rows-than-p"])
+def test_ridge_matches_row_form_oracle(p, n_range):
+    rng = np.random.default_rng(19)
+    data = random_dataset(rng, 4, p, n_range=n_range)
+    if n_range[1] <= p:  # every S_r is singular: only lam I makes the system definite
+        assert all(np.linalg.matrix_rank(S) < p for S in data.gram.S)
+    for lam in (0.01, 1.0, 100.0):
+        np.testing.assert_allclose(fit_ridge(data, lam), row_form_ridge(data, lam), rtol=0, atol=1e-12)
 
 
 # --------------------------------------------------------------------- lasso
@@ -255,7 +266,7 @@ def test_fit_baseline_dispatch_matches_direct_calls():
     rng = np.random.default_rng(17)
     data = random_dataset(rng, 3, 8, n_range=(30, 40))
     m = fit_baseline("ridge", data, 1.0)
-    np.testing.assert_array_equal(m.weights, np.column_stack([fit_ridge(td, 1.0) for td in data.tasks]))
+    np.testing.assert_array_equal(m.weights, fit_ridge(data, 1.0))
     assert m.kind == "ridge" and m.lam == 1.0 and m.tasks == tuple(data.graph.tasks)
     m = fit_baseline("lasso", data, 0.5)
     np.testing.assert_array_equal(m.weights, fit_lasso(data, 0.5))
@@ -266,11 +277,11 @@ def test_fit_baseline_dispatch_matches_direct_calls():
 
 
 def test_default_grids():
-    assert default_grid("ridge") == RIDGE_GRID
-    assert default_grid("lasso") == LASSO_GRID
-    assert default_grid("nmtl") == NMTL_GRID
-    with pytest.raises(InputError, match="unknown baseline kind"):
-        default_grid("boost")
+    assert BASELINE_KINDS == tuple(BASELINES) == ("ridge", "lasso", "nmtl")
+    assert {kind: fit for kind, (fit, _) in BASELINES.items()} == {
+        "ridge": fit_ridge, "lasso": fit_lasso, "nmtl": fit_nmtl}
+    assert {kind: grid for kind, (_, grid) in BASELINES.items()} == {
+        "ridge": (10.0, 100.0), "lasso": (1.0, 10.0, 100.0), "nmtl": (1.0, 10.0, 100.0)}
 
 
 def test_baseline_model_validation():

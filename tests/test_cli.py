@@ -273,6 +273,20 @@ def test_train_baseline_non_finite_lambda_exits_2(small_ds, tmp_path, kind, lam)
     assert not out.exists()
 
 
+def test_train_baseline_ridge_without_a_definite_system_exits_3(tmp_path):
+    # 16 train rows per road against p = 60: each S_r is singular, and
+    # lambda = 1e-300 is lost to rounding when added to it
+    cfg = write_json(tmp_path / "synth.json", {"n_per_task": 20})
+    ds, out = tmp_path / "ds", tmp_path / "ridge.json"
+    assert main(["synth", "--config", cfg, "--seed", "1", "--out", str(ds)]) == 0
+    proc = run_python("-m", "titan", "train-baseline", "--dataset", str(ds), "--kind", "ridge",
+                      "--lam", "1e-300", "--out", str(out))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numerical failure: ridge lambda=1e-300")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ evaluate
 
 
@@ -501,19 +515,12 @@ def wide_path_ds(tmp_path_factory):
     return ds
 
 
-# np.linalg.solve rounds differently with the OpenBLAS thread count, and
-# fit_ridge solves its p x p system with it (train reaches it through
-# structured_q0). ROADMAP item 4: same bytes at any BLAS thread count.
-THREAD_DEPENDENT = pytest.mark.xfail(strict=True, reason="fit_ridge's np.linalg.solve depends on the BLAS thread count")
-
-
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs one thread on one core")
 @pytest.mark.parametrize("command", [
     pytest.param(("train-baseline", "--kind", "nmtl"), id="nmtl"),
     pytest.param(("train-baseline", "--kind", "lasso"), id="lasso"),
-    pytest.param(("train-baseline", "--kind", "ridge"), id="ridge", marks=THREAD_DEPENDENT),
-    pytest.param(("train",), id="train", marks=THREAD_DEPENDENT),
-    # its fits differ in the last bits as train's do, but the report keeps 4 decimals
+    pytest.param(("train-baseline", "--kind", "ridge"), id="ridge"),
+    pytest.param(("train",), id="train"),
     pytest.param(("sweep-k", "--k", "3,5"), id="sweep-k"),
 ])
 def test_outputs_do_not_depend_on_blas_thread_count(wide_path_ds, tmp_path, command):

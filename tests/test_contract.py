@@ -284,6 +284,36 @@ def test_damaged_caches_keep_the_exit_contract_and_the_outputs(world, cache_free
         assert cache_run(root, damaged, command, damaged / f"out-{command}") == want, command
 
 
+@pytest.mark.parametrize("command, split", [("train", "train"), ("train-baseline", "train"),
+                                            ("train-baseline", "test"), ("evaluate", "test")])
+def test_non_finite_labels_exit_2_naming_the_task(world, command, split):
+    root, ds = world
+    bad = root / f"nan-label-{command}-{split}"
+    shutil.copytree(ds, bad)
+    labels = bad / split / "Y_r01.csv"
+    lines = labels.read_text(encoding="utf-8").splitlines()
+    labels.write_text("\n".join(["nan"] + lines[1:]) + "\n", encoding="utf-8")
+    code, err = run_cli(CACHE_COMMANDS[command](root) + [bad / "out", "--dataset", bad])
+    assert code == 2, (code, err)
+    assert err.startswith("error: ") and "task 'r01'" in err and "Traceback" not in err, err
+    assert not (bad / "out").exists()
+
+
+def test_non_finite_duration_exits_2_naming_the_line(world):
+    root, _ = world
+    raw = root / "raw"
+    lines = (raw / "incidents.csv").read_text(encoding="utf-8").splitlines()
+    lines[4] = lines[4].rsplit(",", 1)[0] + ",inf"
+    incidents = raw / "inf-incidents.csv"
+    incidents.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = root / "inf-assembled"
+    code, err = run_cli(["assemble", "--edges", raw / "roads.edges", "--incidents", incidents,
+                         "--speeds-dir", raw / "speeds", "--h", 2, "--t", 1, "--out", out])
+    assert code == 2, (code, err)
+    assert err.startswith(f"error: {incidents}:5: ") and "Traceback" not in err, err
+    assert not out.exists()
+
+
 # Every command that writes a file, its output path left for the caller to append.
 WRITERS = {
     "synth": lambda root, ds: ["synth", "--config", root / "synth.json", "--out"],

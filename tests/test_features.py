@@ -86,6 +86,9 @@ def test_speed_series_validation():
 def test_incident_requires_positive_duration():
     with pytest.raises(InputError, match="positive"):
         IncidentRecord("i", "a", 5, 0.0)
+    for duration in (np.inf, np.nan):
+        with pytest.raises(InputError, match="finite"):
+            IncidentRecord("i", "a", 5, duration)
 
 
 def test_task_dataset_validation():
@@ -93,6 +96,8 @@ def test_task_dataset_validation():
         TaskDataset("a", np.zeros((3, 2)), np.zeros(2))
     with pytest.raises(InputError, match="non-finite"):
         TaskDataset("a", np.array([[np.inf, 0.0]]), np.zeros(1))
+    with pytest.raises(InputError, match="'a': Y contains non-finite"):
+        TaskDataset("a", np.zeros((2, 2)), np.array([1.0, np.nan]))
 
 
 def test_multi_task_dataset_order_and_dims():
