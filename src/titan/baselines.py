@@ -138,11 +138,11 @@ def fit_nmtl(data: MultiTaskDataset, lam):
     return _fista(data.gram, lam, prox_l21, norm_l21)[0]
 
 
-# kind -> (fit(data, lam) returning p x T weights, default penalty grid)
+# kind -> default penalty grid; fit_baseline finds fit_<kind> by name at call time
 BASELINES = {
-    "ridge": (fit_ridge, (10.0, 100.0)),
-    "lasso": (fit_lasso, (1.0, 10.0, 100.0)),
-    "nmtl": (fit_nmtl, (1.0, 10.0, 100.0)),
+    "ridge": (10.0, 100.0),
+    "lasso": (1.0, 10.0, 100.0),
+    "nmtl": (1.0, 10.0, 100.0),
 }
 BASELINE_KINDS = tuple(BASELINES)
 
@@ -153,5 +153,5 @@ def fit_baseline(kind, data: MultiTaskDataset, lam) -> BaselineModel:
         raise InputError(f"lambda must be finite, got {lam}")
     if kind not in BASELINES:
         raise InputError(f"unknown baseline kind {kind!r}")
-    W = BASELINES[kind][0](data, lam)
+    W = globals()[f"fit_{kind}"](data, lam)
     return BaselineModel(kind=kind, weights=W, tasks=tuple(data.graph.tasks), lam=lam)

@@ -93,7 +93,7 @@ def cmd_train(args):
 def cmd_train_baseline(args):
     _check_out(args.out)
     train, test = storage.read_dataset(args.dataset)
-    grid = [args.lam] if args.lam is not None else baselines.BASELINES[args.kind][1]
+    grid = [args.lam] if args.lam is not None else baselines.BASELINES[args.kind]
     best = None
     for lam in grid:
         model = baselines.fit_baseline(args.kind, train, lam)

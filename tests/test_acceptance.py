@@ -40,7 +40,7 @@ def report(capsys, ok, name, detail):
 
 def best_of_grid(kind, train, test):
     best_score, best_model = None, None
-    for lam in BASELINES[kind][1]:
+    for lam in BASELINES[kind]:
         model = fit_baseline(kind, train, lam)
         score = pooled_rmse(model, test)
         if best_score is None or score < best_score:

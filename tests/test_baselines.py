@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import lasso_objective, nmtl_objective, random_dataset, row_form_ridge
+from titan import baselines
 from titan.baselines import (
     BASELINE_KINDS,
     BASELINES,
@@ -278,10 +279,23 @@ def test_fit_baseline_dispatch_matches_direct_calls():
 
 def test_default_grids():
     assert BASELINE_KINDS == tuple(BASELINES) == ("ridge", "lasso", "nmtl")
-    assert {kind: fit for kind, (fit, _) in BASELINES.items()} == {
-        "ridge": fit_ridge, "lasso": fit_lasso, "nmtl": fit_nmtl}
-    assert {kind: grid for kind, (_, grid) in BASELINES.items()} == {
+    assert BASELINES == {
         "ridge": (10.0, 100.0), "lasso": (1.0, 10.0, 100.0), "nmtl": (1.0, 10.0, 100.0)}
+
+
+def test_fit_baseline_calls_the_fit_bound_in_the_module_at_call_time(monkeypatch):
+    # a wrapper set on the module (a tracer, a profiler) must see every grid fit
+    rng = np.random.default_rng(17)
+    data = random_dataset(rng, 2, 4, n_range=(20, 30))
+    calls = []
+    for kind in BASELINE_KINDS:
+        def patched(d, lam, kind=kind):
+            calls.append((kind, lam))
+            return np.zeros((d.p, len(d.tasks)))
+        monkeypatch.setattr(baselines, f"fit_{kind}", patched)
+    for kind in BASELINE_KINDS:
+        fit_baseline(kind, data, 2.0)
+    assert calls == [(kind, 2.0) for kind in BASELINE_KINDS]
 
 
 def test_baseline_model_validation():
