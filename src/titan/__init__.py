@@ -21,7 +21,7 @@ from .features import (
     assemble_dataset,
     construct_features,
 )
-from .roadnet import RoadNetwork, TaskGraph, build_line_graph, load_edge_list, parse_edge_list
+from .roadnet import TaskGraph, build_line_graph, load_edge_list, parse_edge_list
 from .solver import Hyperparams, TrainedModel, fit, predict
 from .synth import GroundTruth, SynthConfig, generate, plant_Q, plant_W
 
@@ -37,7 +37,6 @@ __all__ = [
     "MetricsReport",
     "MultiTaskDataset",
     "NumericalAbort",
-    "RoadNetwork",
     "SpeedSeries",
     "SynthConfig",
     "TaskDataset",

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
-import json
 import logging
 import os
 import stat
@@ -54,10 +53,7 @@ def _check_out(path):
 
 
 def _load_hyperparams(args):
-    hp = storage.read_hyperparams(args.config) if args.config else solver.Hyperparams()
-    if args.no_orth:
-        hp = dataclasses.replace(hp, orthogonality=False)
-    return hp
+    return storage.read_hyperparams(args.config) if args.config else solver.Hyperparams()
 
 
 def cmd_synth(args):
@@ -162,18 +158,16 @@ def cmd_report_groups(args):
         raise InputError("group reports require a grouped model, not a baseline")
     top = evaluation.top_group_per_task(model)
     overlap = evaluation.support_overlap_matrix(model.Q)
-    obj = {
-        "tasks": {
-            road: {"group": idx, "q": [float(v) for v in q]} for road, (idx, q) in top.items()
-        },
-        "Q": [[float(v) for v in row] for row in model.Q],
-        "support_overlap": [[float(v) for v in row] for row in overlap],
-    }
-    Path(args.out).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    storage._dump_json({
+        "tasks": {road: {"group": idx, "q": q.tolist()} for road, (idx, q) in top.items()},
+        "Q": storage._fmt_matrix(model.Q),
+        "support_overlap": storage._fmt_matrix(overlap),
+    }, args.out)
     return 0
 
 
 def cmd_assemble(args):
+    features.check_window_sizes(args.h, args.t)
     graph = roadnet.build_line_graph(roadnet.load_edge_list(args.edges))
     incidents = features.load_incidents_csv(args.incidents)
     series_by_road = {}
@@ -207,8 +201,6 @@ def build_parser():
     p.add_argument("--dataset", required=True, help="dataset directory")
     p.add_argument("--config", help="Hyperparams JSON path (defaults used when omitted)")
     p.add_argument("--out", required=True, help="model JSON to write")
-    p.add_argument("--no-orth", action="store_true",
-                   help="drop the orthogonality constraint: the Q step only clips to Q >= 0 (ablation)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("train-baseline", help="train a reference model over its default grid")
@@ -237,7 +229,6 @@ def build_parser():
     p.add_argument("--config", help="base Hyperparams JSON")
     p.add_argument("--k", required=True, help="comma-separated group counts")
     p.add_argument("--out", required=True)
-    p.add_argument("--no-orth", action="store_true")
     p.set_defaults(func=cmd_sweep_k)
 
     p = sub.add_parser("report-groups", help="dump per-task top groups and Q diagnostics")

@@ -81,30 +81,31 @@ def measure(y, yhat):
     return MetricTriple(rmse(y, yhat), mae(y, yhat), mape(y, yhat))
 
 
-def evaluate(model, data: MultiTaskDataset) -> MetricsReport:
-    """Score a trained model (grouped or baseline) on every task."""
+def _task_predictions(model, data: MultiTaskDataset):
+    """(Y, yhat) per task in task order, for a model (grouped or baseline)
+    fitted on the dataset's tasks."""
     if not isinstance(model, (TrainedModel, BaselineModel)):
         raise InputError(f"cannot evaluate object of type {type(model).__name__}")
     if tuple(model.tasks) != tuple(data.graph.tasks):
         raise InputError(
             f"model tasks {list(model.tasks)} do not match dataset tasks {list(data.graph.tasks)}"
         )
-    per_task = {}
-    ys, yhats = [], []
-    for td in data.tasks:
-        yhat = predict(model, td.X, td.road_id)
-        per_task[td.road_id] = measure(td.Y, yhat)
-        ys.append(td.Y)
-        yhats.append(yhat)
+    return [(td.Y, predict(model, td.X, td.road_id)) for td in data.tasks]
+
+
+def evaluate(model, data: MultiTaskDataset) -> MetricsReport:
+    """Score a trained model (grouped or baseline) on every task."""
+    pairs = _task_predictions(model, data)
+    per_task = {td.road_id: measure(y, yhat) for td, (y, yhat) in zip(data.tasks, pairs)}
+    ys, yhats = zip(*pairs)
     overall = measure(np.concatenate(ys), np.concatenate(yhats))
     return MetricsReport(method=model.label, per_task=per_task, k=model.k, overall=overall)
 
 
 def pooled_rmse(model, data: MultiTaskDataset):
     """Test RMSE over all tasks' pairs concatenated (full precision)."""
-    ys = np.concatenate([td.Y for td in data.tasks])
-    yhats = np.concatenate([predict(model, td.X, td.road_id) for td in data.tasks])
-    return rmse(ys, yhats)
+    ys, yhats = zip(*_task_predictions(model, data))
+    return rmse(np.concatenate(ys), np.concatenate(yhats))
 
 
 def top_group_per_task(model: TrainedModel):
@@ -119,12 +120,13 @@ def top_group_per_task(model: TrainedModel):
     return out
 
 
-def column_support(Q, rel=SUPPORT_REL_THRESHOLD):
-    """Boolean support masks: entries above rel * column max (column per row)."""
+def column_support(Q):
+    """Boolean support masks: entries above SUPPORT_REL_THRESHOLD times the
+    column max (column per row)."""
     Q = np.abs(np.asarray(Q, dtype=float))
     peaks = Q.max(axis=0)
     peaks[peaks == 0] = 1.0
-    return (Q > rel * peaks[None, :]).T
+    return (Q > SUPPORT_REL_THRESHOLD * peaks[None, :]).T
 
 
 def jaccard(a, b):
@@ -136,38 +138,17 @@ def jaccard(a, b):
     return len(a & b) / len(union)
 
 
-def support_overlap_matrix(Q, rel=SUPPORT_REL_THRESHOLD):
+def support_overlap_matrix(Q):
     """Pairwise Jaccard overlap of column supports (diagnostic; zero
     for any exactly feasible Q, whose supports are disjoint)."""
-    masks = column_support(Q, rel)
-    k = masks.shape[0]
-    out = np.zeros((k, k))
-    sets = [frozenset(np.flatnonzero(m)) for m in masks]
-    for i in range(k):
-        for j in range(k):
-            out[i, j] = jaccard(sets[i], sets[j])
-    return out
+    sets = [frozenset(np.flatnonzero(m)) for m in column_support(Q)]
+    return np.array([[jaccard(a, b) for b in sets] for a in sets])
 
 
-def recovery_jaccard(Q, block_supports, rel=SUPPORT_REL_THRESHOLD):
+def recovery_jaccard(Q, block_supports):
     """Mean Jaccard between each planted block and its best learned column."""
-    masks = column_support(Q, rel)
-    sets = [frozenset(np.flatnonzero(m)) for m in masks]
-    scores = []
-    for block in block_supports:
-        scores.append(max(jaccard(block, s) for s in sets))
-    return float(np.mean(scores))
-
-
-def _fit_and_score(train, test, hp_base, k):
-    """Fit one k and score it: (report, fit seconds, iterations, converged)."""
-    started = time.perf_counter()
-    try:
-        model = fit(train, replace(hp_base, k=k))
-    except Exception as exc:
-        raise type(exc)(f"k={k}: {exc}") from exc
-    fit_s = time.perf_counter() - started
-    return evaluate(model, test), fit_s, model.iterations, model.converged
+    sets = [frozenset(np.flatnonzero(m)) for m in column_support(Q)]
+    return float(np.mean([max(jaccard(block, s) for s in sets) for block in block_supports]))
 
 
 def sweep_group_count(train: MultiTaskDataset, test: MultiTaskDataset, hp_base: Hyperparams, k_values):
@@ -189,9 +170,14 @@ def sweep_group_count(train: MultiTaskDataset, test: MultiTaskDataset, hp_base: 
     started = time.perf_counter()
     reports, fit_total = [], 0.0
     for k in ks:
-        report, fit_s, iterations, converged = _fit_and_score(train, test, hp_base, k)
-        log.info("k=%d fit_s=%.2f iterations=%d converged=%s", k, fit_s, iterations, converged)
-        reports.append(report)
+        fit_started = time.perf_counter()
+        try:
+            model = fit(train, replace(hp_base, k=k))
+        except Exception as exc:
+            raise type(exc)(f"k={k}: {exc}") from exc
+        fit_s = time.perf_counter() - fit_started
+        reports.append(evaluate(model, test))
+        log.info("k=%d fit_s=%.2f iterations=%d converged=%s", k, fit_s, model.iterations, model.converged)
         fit_total += fit_s
     log.info(
         "sweep: %d fits, wall %.2f s, summed fit time %.2f s",

@@ -157,6 +157,12 @@ class MultiTaskDataset:
         return self.tasks[self.graph.index_of(road_id)]
 
 
+def check_window_sizes(h, t):
+    """Reject a detection (h) or verification (t) window shorter than 1."""
+    if h < 1 or t < 1:
+        raise InputError(f"window sizes must be >= 1, got h={h}, t={t}")
+
+
 def construct_features(series: SpeedSeries, verification_index, h, t):
     """Extract the length-(h + t) window around a verification interval.
 
@@ -164,8 +170,7 @@ def construct_features(series: SpeedSeries, verification_index, h, t):
     first. Raises InputError naming the missing range when the series
     does not cover the window.
     """
-    if h < 1 or t < 1:
-        raise InputError(f"window sizes must be >= 1, got h={h}, t={t}")
+    check_window_sizes(h, t)
     lo = verification_index - h
     hi = verification_index + t  # exclusive
     if lo < series.start_index or hi > series.end_index:
@@ -204,6 +209,7 @@ def assemble_dataset(
 
     Returns a (train, test) pair of MultiTaskDataset.
     """
+    check_window_sizes(h, t)
     if not 0 < split < 1:
         raise InputError(f"split fraction must be in (0, 1), got {split}")
     for inc in incidents:

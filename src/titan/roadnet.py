@@ -1,7 +1,8 @@
-"""Road network representation and the line-graph transformation.
+"""Road networks and their line graphs.
 
 A road network is an undirected graph whose vertices are intersections
-and whose edges are arterial road segments. Tasks in the multi-task
+and whose edges are arterial road segments, given as
+(vertex_a, vertex_b, road_id) triples. Tasks in the multi-task
 model are the roads themselves, coupled whenever two roads share an
 intersection; that coupling is captured by the adjacency matrix of the
 line graph of the road network.
@@ -15,36 +16,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, read_input_text
-
-
-@dataclass(frozen=True)
-class RoadNetwork:
-    """Undirected intersection graph with one road id per edge.
-
-    Invariants (checked at construction): no self loops, every road id
-    appears on exactly one edge, and every endpoint is a known vertex.
-    """
-
-    vertices: frozenset
-    edges: tuple  # of (vertex_a, vertex_b, road_id)
-
-    def __post_init__(self):
-        seen = set()
-        for a, b, road in self.edges:
-            if a == b:
-                raise InputError(f"self-loop edge on vertex {a!r} (road {road!r})")
-            if road in seen:
-                raise InputError(f"duplicate road {road!r}: each road id must appear on exactly one edge")
-            seen.add(road)
-            if a not in self.vertices or b not in self.vertices:
-                raise InputError(f"edge {(a, b, road)!r} references unknown vertex")
-
-    @staticmethod
-    def from_edges(edges):
-        """Build a network from (vertex_a, vertex_b, road_id) triples."""
-        edges = tuple(tuple(e) for e in edges)
-        vertices = frozenset(v for a, b, _ in edges for v in (a, b))
-        return RoadNetwork(vertices=vertices, edges=edges)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,11 +78,8 @@ class TaskGraph:
 
     @staticmethod
     def from_task_edges(tasks, edges):
-        """Build a task graph directly from road-id pairs.
-
-        Used for synthetic topologies that need not correspond to any
-        physical road network.
-        """
+        """Build a task graph from road-id pairs: a line graph, a
+        dataset's `graph.edges`, or a synthetic topology."""
         tasks = tuple(tasks)
         index = {r: i for i, r in enumerate(tasks)}
         adj = np.zeros((len(tasks), len(tasks)))
@@ -133,31 +101,41 @@ def check_road_id(road):
         raise InputError(f"road id {road!r} is not a plain file name")
 
 
-def build_line_graph(network: RoadNetwork) -> TaskGraph:
-    """Turn a road network into its line graph on roads.
+def _road_endpoints(edges):
+    """Each road's endpoint set; rejects a self loop, a road id on two
+    edges, and a network without edges."""
+    endpoints = {}
+    for a, b, road in edges:
+        if a == b:
+            raise InputError(f"self-loop edge on vertex {a!r} (road {road!r})")
+        if road in endpoints:
+            raise InputError(f"duplicate road {road!r}: each road id must appear on exactly one edge")
+        endpoints[road] = {a, b}
+    if not endpoints:
+        raise InputError("no tasks: the road network has no edges")
+    return endpoints
+
+
+def build_line_graph(edges) -> TaskGraph:
+    """Turn a road network's edge triples into its line graph on roads.
 
     Tasks are the road ids in lexicographic order (deterministic
     indexing regardless of input edge order); two roads are adjacent iff
     they share at least one endpoint vertex.
     """
-    if not network.edges:
-        raise InputError("no tasks: the road network has no edges")
-    endpoints = {road: frozenset((a, b)) for a, b, road in network.edges}
-    tasks = tuple(sorted(endpoints))
-    t = len(tasks)
-    adj = np.zeros((t, t))
-    for i in range(t):
-        for j in range(i + 1, t):
-            if endpoints[tasks[i]] & endpoints[tasks[j]]:
-                adj[i, j] = adj[j, i] = 1.0
-    return TaskGraph(tasks=tasks, adjacency=adj)
+    endpoints = _road_endpoints(edges)
+    tasks = sorted(endpoints)
+    pairs = [(r, s) for i, r in enumerate(tasks) for s in tasks[i + 1:] if endpoints[r] & endpoints[s]]
+    return TaskGraph.from_task_edges(tasks, pairs)
 
 
-def parse_edge_list(text) -> RoadNetwork:
-    """Parse the edge-list text format.
+def parse_edge_list(text):
+    """Parse the edge-list text format into (vertex_a, vertex_b, road_id)
+    triples.
 
     One edge per line, ``<vertexA> <vertexB> <roadId>`` separated by
-    whitespace; blank lines and ``#`` comment lines are ignored.
+    whitespace; blank lines and ``#`` comment lines are ignored. The
+    edges must form a network that :func:`build_line_graph` accepts.
     """
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -172,11 +150,12 @@ def parse_edge_list(text) -> RoadNetwork:
         except InputError as exc:
             raise InputError(f"edge list line {lineno}: {exc}") from None
         edges.append(tuple(parts))
-    return RoadNetwork.from_edges(edges)
+    _road_endpoints(edges)  # here too, so that load_edge_list's errors name the file
+    return edges
 
 
-def load_edge_list(path) -> RoadNetwork:
-    """Read an edge-list file (see :func:`parse_edge_list`)."""
+def load_edge_list(path):
+    """Read an edge-list file's triples (see :func:`parse_edge_list`)."""
     text = read_input_text(path)
     try:
         return parse_edge_list(text)

@@ -216,9 +216,9 @@ def read_task_graph(root):
         except InputError as exc:
             raise InputError(f"{meta_path}: {exc}") from None
     try:
-        h, t = int(meta["h"]), int(meta["t"])
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{meta_path}: 'h' and 't' must be integers") from None
+        h, t = _positive_int(meta["h"]), _positive_int(meta["t"])
+    except ValueError:
+        raise InputError(f"{meta_path}: 'h' and 't' must be integers >= 1") from None
     edges = []
     edge_text = read_input_text(root / "graph.edges")
     for lineno, raw in enumerate(edge_text.splitlines(), start=1):

@@ -161,11 +161,11 @@ def test_train_converges_and_is_deterministic(small_ds, trained, tmp_path, capsy
     assert loaded.converged and loaded.k == 3
 
 
-def test_train_no_orth_flag(small_ds, trained, tmp_path):
+def test_train_orthogonality_off_by_config(small_ds, tmp_path):
     _, _, ds = small_ds
-    hp, _ = trained
+    hp = write_json(tmp_path / "hp.json", {"k": 3, "max_iter": 800, "orthogonality": False})
     out = tmp_path / "no_orth.json"
-    assert main(["train", "--dataset", str(ds), "--config", hp, "--out", str(out), "--no-orth"]) == 0
+    assert main(["train", "--dataset", str(ds), "--config", hp, "--out", str(out)]) == 0
     assert read_model(out).hyperparams.orthogonality is False
 
 
@@ -636,12 +636,26 @@ def write_raw_inputs(root, edges):
 @pytest.mark.parametrize("edges, message", [
     ("v0 v1 r1\nv1 v2 r3\n", "error: missing file: "),  # no speeds/r3.csv
     ("v0 v1 r1\nv1 v2 ../../evil\n", "is not a plain file name"),
+    ("v0 v1 r1\nv1 v1 r2\n", "roads.edges: self-loop edge on vertex 'v1'"),
+    ("v0 v1 r1\nv1 v2 r1\n", "roads.edges: duplicate road 'r1'"),
+    ("# no roads\n", "roads.edges: no tasks"),
 ])
 def test_assemble_bad_road_inputs_exit_2_without_traceback(tmp_path, edges, message):
     proc = run_python("-m", "titan", *write_raw_inputs(tmp_path, edges))
     assert proc.returncode == 2
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("window", [("--h", "0"), ("--t", "0"), ("--h", "-3")])
+def test_assemble_rejects_window_below_one_before_reading_speeds(tmp_path, window):
+    argv = write_raw_inputs(tmp_path, "v0 v1 r1\nv1 v2 r2\n")
+    shutil.rmtree(tmp_path / "speeds")
+    proc = run_python("-m", "titan", *argv, *window)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: window sizes must be >= 1"), proc.stderr
     assert not (tmp_path / "ds").exists()
 
 

@@ -299,6 +299,20 @@ def test_non_finite_labels_exit_2_naming_the_task(world, command, split):
     assert not (bad / "out").exists()
 
 
+@pytest.mark.parametrize("h, t", [(3.9, "3"), (-5, 11), (0, 6), (True, 5), (3.0, 3), (3, "3")])
+@pytest.mark.parametrize("command", ["train", "train-baseline", "evaluate"])
+def test_window_sizes_in_tasks_json_must_be_positive_integers(world, command, h, t):
+    root, ds = world
+    bad = root / f"windows-{command}-{h}-{t}"
+    shutil.copytree(ds, bad)
+    meta = json.loads((bad / "tasks.json").read_text(encoding="utf-8"))
+    write_json(bad / "tasks.json", {**meta, "h": h, "t": t})
+    code, err = run_cli(CACHE_COMMANDS[command](root) + [bad / "out", "--dataset", bad])
+    assert code == 2, (code, err)
+    assert err.startswith(f"error: {bad / 'tasks.json'}: 'h' and 't' must be integers >= 1"), err
+    assert not (bad / "out").exists()
+
+
 def test_non_finite_duration_exits_2_naming_the_line(world):
     root, _ = world
     raw = root / "raw"

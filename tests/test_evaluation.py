@@ -126,11 +126,12 @@ def test_evaluate_baseline_has_k_zero(default_run):
 
 def test_evaluate_rejects_foreign_objects_and_task_mismatch(default_run):
     _, test, _, model = default_run
-    with pytest.raises(InputError, match="cannot evaluate"):
-        evaluate(object(), test)
     other = TrainedModel(Q=model.Q, W=model.W, tasks=tuple("x" + t for t in model.tasks))
-    with pytest.raises(InputError, match="do not match"):
-        evaluate(other, test)
+    for score in (evaluate, pooled_rmse):
+        with pytest.raises(InputError, match="cannot evaluate"):
+            score(object(), test)
+        with pytest.raises(InputError, match="do not match"):
+            score(other, test)
 
 
 def test_report_equality_ignores_overall():

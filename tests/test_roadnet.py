@@ -1,10 +1,10 @@
-"""Road network, line-graph transformation, and edge-list parsing."""
+"""Line graphs of road networks given as edge triples, and edge-list parsing."""
 
 import numpy as np
 import pytest
 
 from titan.errors import InputError
-from titan.roadnet import RoadNetwork, TaskGraph, build_line_graph, load_edge_list, parse_edge_list
+from titan.roadnet import TaskGraph, build_line_graph, load_edge_list, parse_edge_list
 
 
 def brute_force_adjacency(edges):
@@ -21,21 +21,19 @@ def brute_force_adjacency(edges):
 
 
 def test_path_graph_two_roads():
-    net = RoadNetwork.from_edges([("a", "b", "e1"), ("b", "c", "e2")])
-    graph = build_line_graph(net)
+    graph = build_line_graph([("a", "b", "e1"), ("b", "c", "e2")])
     assert graph.tasks == ("e1", "e2")
     np.testing.assert_array_equal(graph.adjacency, [[0, 1], [1, 0]])
 
 
 def test_triangle_gives_complete_line_graph():
-    net = RoadNetwork.from_edges([("a", "b", "e1"), ("b", "c", "e2"), ("c", "a", "e3")])
-    graph = build_line_graph(net)
+    graph = build_line_graph([("a", "b", "e1"), ("b", "c", "e2"), ("c", "a", "e3")])
     np.testing.assert_array_equal(graph.adjacency, np.ones((3, 3)) - np.eye(3))
 
 
 def test_star_line_graph_is_complete_on_spokes():
     edges = [("hub", f"v{i}", f"road{i}") for i in range(5)]
-    graph = build_line_graph(RoadNetwork.from_edges(edges))
+    graph = build_line_graph(edges)
     tasks, want = brute_force_adjacency(edges)
     assert graph.tasks == tasks
     np.testing.assert_array_equal(graph.adjacency, want)
@@ -53,7 +51,7 @@ def test_random_networks_match_brute_force():
         for e in range(n_edges):
             a, b = rng.choice(n_vertices, size=2, replace=False)
             edges.append((vertices[a], vertices[b], f"r{e}"))
-        graph = build_line_graph(RoadNetwork.from_edges(edges))
+        graph = build_line_graph(edges)
         tasks, want = brute_force_adjacency(edges)
         assert graph.tasks == tasks
         np.testing.assert_array_equal(graph.adjacency, want)
@@ -62,31 +60,31 @@ def test_random_networks_match_brute_force():
 
 def test_edge_order_does_not_change_output():
     edges = [("a", "b", "e2"), ("b", "c", "e1"), ("c", "d", "e3")]
-    g1 = build_line_graph(RoadNetwork.from_edges(edges))
-    g2 = build_line_graph(RoadNetwork.from_edges(edges[::-1]))
+    g1 = build_line_graph(edges)
+    g2 = build_line_graph(edges[::-1])
     assert g1.tasks == g2.tasks
     np.testing.assert_array_equal(g1.adjacency, g2.adjacency)
 
 
 def test_empty_edge_set_rejected():
-    net = RoadNetwork(vertices=frozenset({"a"}), edges=())
     with pytest.raises(InputError, match="no tasks"):
-        build_line_graph(net)
+        build_line_graph([])
+    with pytest.raises(InputError, match="no tasks"):
+        parse_edge_list("# only a comment\n\n")
 
 
 def test_duplicate_road_rejected():
-    with pytest.raises(InputError, match="duplicate road"):
-        RoadNetwork.from_edges([("a", "b", "e1"), ("b", "c", "e1")])
+    with pytest.raises(InputError, match="duplicate road 'e1'"):
+        build_line_graph([("a", "b", "e1"), ("b", "c", "e1")])
+    with pytest.raises(InputError, match="duplicate road 'e1'"):
+        parse_edge_list("a b e1\nb c e1\n")
 
 
 def test_self_loop_rejected():
+    with pytest.raises(InputError, match="self-loop edge on vertex 'a' \\(road 'e1'\\)"):
+        build_line_graph([("a", "a", "e1")])
     with pytest.raises(InputError, match="self-loop"):
-        RoadNetwork.from_edges([("a", "a", "e1")])
-
-
-def test_unknown_vertex_rejected():
-    with pytest.raises(InputError, match="unknown vertex"):
-        RoadNetwork(vertices=frozenset({"a"}), edges=(("a", "b", "e1"),))
+        parse_edge_list("a b e0\na a e1\n")
 
 
 def test_task_graph_invariants_enforced():
@@ -129,9 +127,8 @@ def test_index_of_unknown_road():
 
 
 def test_parse_edge_list_skips_comments_and_blanks():
-    net = parse_edge_list("# header\n\na b e1\n  b c e2  \n")
-    assert len(net.edges) == 2
-    assert net.vertices == frozenset({"a", "b", "c"})
+    edges = parse_edge_list("# header\n\na b e1\n  b c e2  \n")
+    assert edges == [("a", "b", "e1"), ("b", "c", "e2")]
 
 
 def test_parse_edge_list_field_count_error_names_line():
@@ -144,10 +141,13 @@ def test_load_edge_list(tmp_path):
     path.write_text("a b e1\nb c e2\n", encoding="utf-8")
     graph = build_line_graph(load_edge_list(path))
     assert graph.tasks == ("e1", "e2")
+    assert load_edge_list(path) == [("a", "b", "e1"), ("b", "c", "e2")]
     bad = tmp_path / "bad.edges"
-    bad.write_text("a b\n", encoding="utf-8")
-    with pytest.raises(InputError, match="bad.edges"):
-        load_edge_list(bad)
+    for text, message in [("a b\n", "line 1: expected 3 fields"), ("a a e1\n", "self-loop"),
+                          ("a b e1\nb c e1\n", "duplicate road"), ("# none\n", "no tasks")]:
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError, match=f"bad.edges: .*{message}"):
+            load_edge_list(bad)
 
 
 @pytest.mark.parametrize("road", ["..", ".", "../../evil", "a/b", "a\\b", "r\x001"])
