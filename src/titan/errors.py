@@ -15,21 +15,15 @@ class NumericalAbort(RuntimeError):
     """A non-finite value was produced during training (CLI exit code 3)."""
 
 
-def read_input_bytes(path):
-    """The bytes of an input file; a missing or directory path raises
-    InputError."""
+def read_input_text(path):
+    """The text of a UTF-8 input file, newlines translated as in text mode;
+    a missing, directory or non-UTF-8 path raises InputError."""
     try:
-        return Path(path).read_bytes()
+        data = Path(path).read_bytes()
     except FileNotFoundError:
         raise InputError(f"missing file: {path}") from None
     except IsADirectoryError:
         raise InputError(f"{path}: is a directory, not a file") from None
-
-
-def read_input_text(path):
-    """The text of a UTF-8 input file, newlines translated as in text mode;
-    a missing, directory or non-UTF-8 path raises InputError."""
-    data = read_input_bytes(path)
     try:
         return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError:

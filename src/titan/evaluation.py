@@ -163,9 +163,11 @@ def sweep_group_count(train: MultiTaskDataset, test: MultiTaskDataset, hp_base: 
     ks = list(k_values)
     if not ks:
         raise InputError("k sweep needs at least one value")
-    for k in ks:
+    for i, k in enumerate(ks):
         if not 1 <= k <= train.p:
             raise InputError(f"sweep k={k} outside valid range 1..p={train.p}")
+        if k in ks[:i]:
+            raise InputError(f"sweep k={k} given more than once")
 
     started = time.perf_counter()
     reports, fit_total = [], 0.0

@@ -84,10 +84,7 @@ class TaskGraph:
         index = {r: i for i, r in enumerate(tasks)}
         adj = np.zeros((len(tasks), len(tasks)))
         for a, b in edges:
-            if a not in index or b not in index:
-                raise InputError(f"task edge ({a!r}, {b!r}) references unknown road")
-            if a == b:
-                raise InputError(f"task edge may not be a self loop ({a!r})")
+            check_task_edge(index, a, b)
             adj[index[a], index[b]] = 1.0
             adj[index[b], index[a]] = 1.0
         return TaskGraph(tasks=tasks, adjacency=adj)
@@ -99,6 +96,15 @@ def check_road_id(road):
     empty string, `.`, `..`, or one holding `/`, `\\` or NUL."""
     if not isinstance(road, str) or road in ("", ".", "..") or any(c in road for c in "/\\\0"):
         raise InputError(f"road id {road!r} is not a plain file name")
+
+
+def check_task_edge(tasks, a, b):
+    """Reject a task edge naming a road not in `tasks` (any container of
+    road ids), or joining a road to itself."""
+    if a not in tasks or b not in tasks:
+        raise InputError(f"task edge ({a!r}, {b!r}) references unknown road")
+    if a == b:
+        raise InputError(f"task edge may not be a self loop ({a!r})")
 
 
 def _road_endpoints(edges):

@@ -1,58 +1,47 @@
 """On-disk formats: dataset directories, model files, configs.
 
-A dataset directory holds `tasks.json` (task order plus window sizes),
-`graph.edges` (one task pair per line), `ground_truth.json` when
-generated synthetically, and `train/` + `test/` subdirectories with
-`X_<road>.csv` / `Y_<road>.csv` per task. Numeric CSV cells use %.17g,
-which round-trips doubles exactly, so regeneration with the same seed
-is byte-identical.
+A dataset directory holds `tasks.json`, `graph.edges` (one task pair per
+line), `ground_truth.json` when generated synthetically, and `train/` +
+`test/` subdirectories. `tasks.json` gives the task order, the window
+sizes `h` and `t` (so p = h + t), and each split's per-task row counts,
+`"rows": {"train": [...], "test": [...]}`.
 
-write_matrix_csv and write_dataset encode those bytes in numpy blocks
-(see csvfmt), not with one `%` per value.
+The values of a split are one file, `<split>/values.npy`: a float64
+vector in np.save's v1.0 format holding each task's X (row-major, n_r x
+p) then its Y (n_r values), in task order. read_split builds the split
+from tasks.json, graph.edges and that file. A missing or malformed values.npy,
+or rows that do not describe it, raises InputError naming the file;
+there is no fallback.
 
-The CSVs are the source of truth. Beside the CSVs of a split,
-write_dataset saves the same values once more as `cache.<key>.npy`: one
-float64 vector holding each task's X (row-major) then Y, in task order.
-The key is the sha256 of the feature dimension and of every split CSV's
-own sha256, so read_split hashes the CSV bytes it reads and loads the
-cache of that key only if it holds exactly the float64 vector those
-CSVs describe; otherwise read_matrix_csv parses each CSV line by line
-with float(). Those are the only two read paths. The parse is slow,
-~0.5 s for the train split of a 24-road, 500-row dataset against ~0.03 s
-from its cache, but only a dataset without caches (written by an older
-version, or edited by hand) takes it. So an edited CSV
-never hits a stale cache, a missing, truncated or mistyped cache never
-changes a result, datasets written without caches read as before, and
-deleting `*.npy` is always safe. A cache's float bytes are trusted as
-written: it is checked against its CSVs by name, not value by value.
-One file per split, not per CSV: creating a file costs ~0.5 ms, as much
-as writing a few hundred kB to it, so per-CSV caches slowed writing the
-24-road datasets by ~50 ms. The caches add about 40% to a dataset's size
-(8 bytes a value against ~20 bytes of text).
+Beside it, write_dataset writes each task's `X_<road>.csv` and
+`Y_<road>.csv` with %.17g (encoded in numpy blocks, see csvfmt), which
+round-trips doubles exactly. They are a text view of the same values
+that titan never reads back, so editing one changes nothing. A tasks.json
+without `rows` was written by an earlier version, with no values.npy:
+its split CSVs are parsed by read_matrix_csv, ~0.3 s for the train split
+of a 24-road, 500-row dataset on a 2-core machine (~1.5 ms from
+values.npy).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
-import re
 from pathlib import Path
 
 import numpy as np
 
 from . import csvfmt
 from .baselines import BaselineModel
-from .errors import InputError, read_input_bytes, read_input_text
+from .errors import InputError, read_input_text
 from .features import MultiTaskDataset, TaskDataset
-from .roadnet import TaskGraph, check_road_id
+from .roadnet import TaskGraph, check_road_id, check_task_edge
 from .solver import Hyperparams, TrainedModel
 from .synth import GroundTruth, SynthConfig
 
 SPLITS = ("train", "test")
-# A split's parse cache (see the module docstring).
-_CACHE_NAME = re.compile(r"cache\.[0-9a-f]{64}\.npy")
+VALUES_NAME = "values.npy"
 # Hyperparameters that model files written by earlier versions still hold;
 # neither ever changed a fit, so read_model drops them.
 RETIRED_HYPERPARAMS = ("seed", "inner_w_solve")
@@ -79,15 +68,9 @@ def _load_json(path):
 
 
 def write_matrix_csv(path, M):
-    """Write M as %.17g CSV; returns the sha256 hex digest of the bytes
-    written."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    digest = hashlib.sha256()
+    """Write M as %.17g CSV."""
     with open(path, "wb") as fh:
-        for data in csvfmt.csv_chunks(M):
-            fh.write(data)
-            digest.update(data)
-    return digest.hexdigest()
+        fh.writelines(csvfmt.csv_chunks(np.atleast_2d(np.asarray(M, dtype=float))))
 
 
 def read_matrix_csv(path, columns=None):
@@ -113,83 +96,63 @@ def read_matrix_csv(path, columns=None):
     return M
 
 
-def _cache_path(sub, p, digests):
-    key = hashlib.sha256(f"{p}:{','.join(digests)}".encode("ascii")).hexdigest()
-    return sub / f"cache.{key}.npy"
-
-
 def _write_split(sub, ds: MultiTaskDataset):
-    """The split's CSVs and, beside them, its parse cache."""
-    digests, matrices = [], []
+    """The split's CSV view and its values.npy."""
+    matrices = []
     for td in ds.tasks:
-        digests.append(write_matrix_csv(sub / f"X_{td.road_id}.csv", td.X))
-        digests.append(write_matrix_csv(sub / f"Y_{td.road_id}.csv", td.Y[:, None]))
+        write_matrix_csv(sub / f"X_{td.road_id}.csv", td.X)
+        write_matrix_csv(sub / f"Y_{td.road_id}.csv", td.Y[:, None])
         matrices += [np.ascontiguousarray(M, dtype=np.float64) for M in (td.X, td.Y)]
     fmt = np.lib.format
     header = {"descr": fmt.dtype_to_descr(np.dtype(np.float64)), "fortran_order": False,
               "shape": (sum(M.size for M in matrices),)}
-    with open(_cache_path(sub, ds.p, digests), "wb") as fh:  # np.save's format, written a task at a time
+    with open(sub / VALUES_NAME, "wb") as fh:  # np.save's format, written a matrix at a time
         fmt.write_array_header_1_0(fh, header)
         for M in matrices:
             fh.write(M)
 
 
 def _load_vector(path, size):
-    """The float64 vector in an .npy file, or None unless the file holds
-    exactly one native float64 vector of `size` values."""
+    """The float64 vector in an .npy file; raises InputError naming the
+    file unless it holds exactly one native float64 vector of `size`
+    values."""
     fmt = np.lib.format
     try:
         with open(path, "rb") as fh:
-            if fmt.read_magic(fh) != (1, 0):
-                return None
-            shape, _, dtype = fmt.read_array_header_1_0(fh)
-            if dtype != np.float64 or shape != (size,):
-                return None
-            if os.fstat(fh.fileno()).st_size - fh.tell() != size * dtype.itemsize:
-                return None
-            return np.fromfile(fh, dtype=dtype, count=size)
-    except (OSError, ValueError):  # missing, unreadable, or not an .npy file
-        return None
+            if fmt.read_magic(fh) == (1, 0):
+                shape, _, dtype = fmt.read_array_header_1_0(fh)
+                if (dtype == np.float64 and shape == (size,)
+                        and os.fstat(fh.fileno()).st_size - fh.tell() == size * dtype.itemsize):
+                    return np.fromfile(fh, dtype=dtype, count=size)
+    except FileNotFoundError:
+        raise InputError(f"missing file: {path}") from None
+    except (OSError, ValueError):  # a directory, unreadable, or not an .npy file
+        pass
+    raise InputError(f"{path}: not a float64 .npy vector of the {size} values tasks.json describes")
 
 
-def _read_split_cache(sub, p, roads):
-    """The split's (X, Y) pairs from its parse cache, or None when the cache
-    is missing, stale or malformed, or a CSV cannot be read."""
-    digests, shapes = [], []
-    for road in roads:
-        for name, width in ((f"X_{road}.csv", p), (f"Y_{road}.csv", 1)):
-            try:
-                data = read_input_bytes(sub / name)
-            except InputError:  # the parse reports it
-                return None
-            digests.append(hashlib.sha256(data).hexdigest())
-            # Bytes with a cached digest are write_matrix_csv's: a line a row.
-            shapes.append((data.count(b"\n"), width))
-    sizes = [n * width for n, width in shapes]
-    flat = _load_vector(_cache_path(sub, p, digests), sum(sizes))
-    if flat is None:
-        return None
-    ends = np.cumsum(sizes)
-    mats = [flat[end - size:end].reshape(shape) for end, size, shape in zip(ends, sizes, shapes)]
-    return [(X, Y[:, 0]) for X, Y in zip(mats[::2], mats[1::2])]
+def _split_values(path, counts, p):
+    """The (X, Y) pairs of one split, views of its values.npy."""
+    flat = _load_vector(path, sum(counts) * (p + 1))
+    pairs, start = [], 0
+    for n in counts:
+        pairs.append((flat[start:start + n * p].reshape(n, p), flat[start + n * p:start + n * (p + 1)]))
+        start += n * (p + 1)
+    return pairs
 
 
 def write_dataset(root, train: MultiTaskDataset, test: MultiTaskDataset, truth: GroundTruth | None = None):
     """Write the dataset directory layout; returns the root path."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    _dump_json(
-        {"tasks": list(train.graph.tasks), "h": train.h, "t": train.t, "p": train.p},
-        root / "tasks.json",
-    )
+    rows = {split: [td.n for td in ds.tasks] for split, ds in zip(SPLITS, (train, test))}
+    _dump_json({"tasks": list(train.graph.tasks), "h": train.h, "t": train.t, "rows": rows},
+               root / "tasks.json")
     edge_lines = [f"{a} {b}" for a, b in train.graph.task_edges()]
     (root / "graph.edges").write_text("\n".join(edge_lines) + "\n", encoding="utf-8")
     for split, ds in zip(SPLITS, (train, test)):
         sub = root / split
         sub.mkdir(exist_ok=True)
-        for old in sub.iterdir():  # the cache of an earlier dataset written here
-            if _CACHE_NAME.fullmatch(old.name):
-                old.unlink()
         _write_split(sub, ds)
     if truth is not None:
         _dump_json(
@@ -199,7 +162,21 @@ def write_dataset(root, train: MultiTaskDataset, test: MultiTaskDataset, truth: 
     return root
 
 
+def _row_counts(rows, n_tasks):
+    """tasks.json's `rows`: each split's list of one count >= 1 a task."""
+    if not isinstance(rows, dict) or set(rows) != set(SPLITS):
+        raise ValueError("not an object keyed by split")
+    for counts in rows.values():
+        if not isinstance(counts, list) or len(counts) != n_tasks:
+            raise ValueError("not one count a task")
+        for n in counts:
+            _positive_int(n)
+    return rows
+
+
 def read_task_graph(root):
+    """tasks.json and graph.edges: (graph, h, t, rows), rows None for a
+    dataset written by an earlier version (see the module docstring)."""
     root = Path(root)
     meta_path = root / "tasks.json"
     meta = _load_json(meta_path)
@@ -219,18 +196,32 @@ def read_task_graph(root):
         h, t = _positive_int(meta["h"]), _positive_int(meta["t"])
     except ValueError:
         raise InputError(f"{meta_path}: 'h' and 't' must be integers >= 1") from None
-    edges = []
-    edge_text = read_input_text(root / "graph.edges")
-    for lineno, raw in enumerate(edge_text.splitlines(), start=1):
+    rows = None
+    if "rows" in meta:
+        try:
+            rows = _row_counts(meta["rows"], len(meta["tasks"]))
+        except ValueError:
+            raise InputError(f"{meta_path}: 'rows' must map 'train' and 'test' to one integer >= 1 "
+                             "per task") from None
+    edge_path = root / "graph.edges"
+    roads, edges = set(meta["tasks"]), []
+    for lineno, raw in enumerate(read_input_text(edge_path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) != 2:
-            raise InputError(f"{root / 'graph.edges'}:{lineno}: expected 2 fields, got {len(parts)}")
+        try:
+            if len(parts) != 2:
+                raise InputError(f"expected 2 fields, got {len(parts)}")
+            check_task_edge(roads, *parts)
+        except InputError as exc:
+            raise InputError(f"{edge_path}:{lineno}: {exc}") from None
         edges.append((parts[0], parts[1]))
-    graph = TaskGraph.from_task_edges(tuple(meta["tasks"]), edges)
-    return graph, h, t
+    try:
+        graph = TaskGraph.from_task_edges(tuple(meta["tasks"]), edges)
+    except InputError as exc:  # every edge is checked, so it is the task list
+        raise InputError(f"{meta_path}: {exc}") from None
+    return graph, h, t, rows
 
 
 def read_split(root, split):
@@ -239,13 +230,14 @@ def read_split(root, split):
     if split not in SPLITS:
         raise InputError(f"split must be one of {SPLITS}, got {split!r}")
     sub = Path(root) / split
-    graph, h, t = read_task_graph(root)
+    graph, h, t, rows = read_task_graph(root)
     p = h + t
-    pairs = _read_split_cache(sub, p, graph.tasks) or (
-        (read_matrix_csv(sub / f"X_{road}.csv", columns=p),
-         read_matrix_csv(sub / f"Y_{road}.csv", columns=1)[:, 0])
-        for road in graph.tasks
-    )
+    if rows is None:  # an earlier version's dataset: parse its CSVs
+        pairs = ((read_matrix_csv(sub / f"X_{road}.csv", columns=p),
+                  read_matrix_csv(sub / f"Y_{road}.csv", columns=1)[:, 0])
+                 for road in graph.tasks)
+    else:
+        pairs = _split_values(sub / VALUES_NAME, rows[split], p)
     tasks = tuple(TaskDataset(road, X, Y) for road, (X, Y) in zip(graph.tasks, pairs))
     return MultiTaskDataset(tasks, graph, h, t)
 

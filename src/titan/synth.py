@@ -20,9 +20,10 @@ from .roadnet import TaskGraph, build_line_graph, load_edge_list
 GRAPH_KINDS = ("star", "path", "complete", "custom-edge-list")
 # Cap on the values a synthetic dataset holds, T * n_per_task * (p + 1)
 # (features plus label). generate keeps every value in memory as a
-# float64 and write_dataset stores each as ~20 bytes of %.17g text, so
-# 1e8 values is already ~0.8 GB of RAM and ~2 GB of CSV; a larger request
-# is a typo, and is refused before any of it is allocated.
+# float64 and write_dataset stores each in values.npy (8 bytes) and as
+# ~20 bytes of %.17g text, so 1e8 values is already ~0.8 GB of RAM and
+# ~2.8 GB on disk; a larger request is a typo, and is refused before any
+# of it is allocated.
 MAX_SYNTH_VALUES = 10**8
 
 

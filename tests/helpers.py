@@ -16,7 +16,6 @@ overhead, same bits), and the report CSV reader (the CLI only writes
 reports).
 """
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -312,15 +311,18 @@ def parse_report_csv(text, source="<report>"):
 # --------------------------------------------------------- instance builders
 
 
-def split_cache_path(root, split):
-    """Where a dataset split's parse cache must be for the split's CSVs as
-    they are now: `cache.<key>.npy`, the key the sha256 of the feature
-    dimension and of each CSV's sha256 (X then Y per task, in task order)."""
-    meta = json.loads((Path(root) / "tasks.json").read_text(encoding="utf-8"))
-    digests = [hashlib.sha256((Path(root) / split / f"{m}_{road}.csv").read_bytes()).hexdigest()
-               for road in meta["tasks"] for m in "XY"]
-    key = hashlib.sha256(f"{meta['h'] + meta['t']}:{','.join(digests)}".encode("ascii")).hexdigest()
-    return Path(root) / split / f"cache.{key}.npy"
+def as_earlier_version(root):
+    """Turn a dataset directory into what earlier versions wrote: tasks.json
+    with `p` and without `rows`, and each split's values.npy under the name
+    of a parse cache, `cache.<64 hex digits>.npy`, which is never read."""
+    meta_path = Path(root) / "tasks.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    del meta["rows"]
+    meta["p"] = meta["h"] + meta["t"]
+    meta_path.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    for split in ("train", "test"):
+        (Path(root) / split / "values.npy").rename(Path(root) / split / f"cache.{'0' * 64}.npy")
+    return root
 
 
 def random_dataset(rng, T, p, n_range=(5, 12), edge_prob=0.5):

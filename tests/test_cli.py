@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import cell_write_matrix_csv, parse_report_csv, split_cache_path
+from helpers import as_earlier_version, cell_write_matrix_csv, parse_report_csv
 
 import titan
 from titan import evaluation
@@ -117,7 +117,7 @@ def test_synth_writes_expected_layout(small_ds):
         for road in roads:
             want.add(f"{split}/X_{road}.csv")
             want.add(f"{split}/Y_{road}.csv")
-        want.add(str(split_cache_path(ds, split).relative_to(ds)))  # the split's parse cache
+        want.add(f"{split}/values.npy")
     assert names == want
     assert len(names) == 3 * 4 + 2 + 3
 
@@ -170,9 +170,11 @@ def test_train_orthogonality_off_by_config(small_ds, tmp_path):
 
 
 def test_train_corrupt_csv_exits_2(small_ds, tmp_path, capsys):
+    """A dataset written by an earlier version is parsed from its CSVs."""
     _, _, ds = small_ds
     broken = tmp_path / "broken"
     shutil.copytree(ds, broken)
+    as_earlier_version(broken)
     target = broken / "train" / "X_r00.csv"
     lines = target.read_text(encoding="utf-8").splitlines()
     lines[1] = lines[1].replace(",", ",oops,", 1)
@@ -385,6 +387,9 @@ def test_sweep_k_bad_inputs_exit_2(sweep_ds, capsys):
     assert rc == 2 and "at least one" in capsys.readouterr().err
     rc = main(["sweep-k", "--dataset", str(ds), "--k", "2,zz", "--out", out])
     assert rc == 2 and "--k" in capsys.readouterr().err
+    rc = main(["sweep-k", "--dataset", str(ds), "--k", "3,2,3", "--out", out])
+    assert rc == 2 and "error: sweep k=3 given more than once" in capsys.readouterr().err
+    assert not Path(out).exists()
 
 
 @pytest.mark.parametrize("bad", [

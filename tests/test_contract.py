@@ -1,6 +1,6 @@
 """The CLI's error contract under malformed input.
 
-Whatever a config, model file, edge list or dataset parse cache holds, a
+Whatever a config, model file, edge list or dataset file holds, a
 command exits 0 (success), 2 (input error) or 3 (numerical failure), and
 never with an uncaught exception. The commands run in process through main(argv), so
 an uncaught exception fails the test with its traceback.
@@ -17,8 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import split_cache_path
-
 from titan import baselines, solver, storage
 from titan.cli import main
 
@@ -30,15 +28,20 @@ ROAD_TOKENS = ["v0", "v1", "v2", "r1", "r2", "r00", "r01", "r02", ".", "..", "..
                "a/b", "a\\b", "r\x001", "#", "r1,r2"]
 
 
-def run_cli(argv):
-    """Exit code and stderr of one in-process CLI run."""
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+def run_cli_streams(argv):
+    """Exit code, stderr and stdout of one in-process CLI run."""
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
         try:
             code = main([str(a) for a in argv])
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
-    return code, err.getvalue()
+    return code, err.getvalue(), out.getvalue()
+
+
+def run_cli(argv):
+    """Exit code and stderr of one in-process CLI run."""
+    return run_cli_streams(argv)[:2]
 
 
 def assert_contract(argv):
@@ -186,6 +189,19 @@ def test_assemble_edge_lists_keep_the_exit_contract(world, lines):
                      "--speeds-dir", raw / "speeds", "--h", 2, "--t", 1, "--out", out])
 
 
+KEEP = object()
+# tasks.json's `rows`: the dataset's own, absent (an earlier version's
+# dataset), junk, or objects of junk and of counts that miss the values.
+ROWS = st.one_of(
+    st.sampled_from([KEEP, DELETE]),
+    st.sampled_from(JSON_JUNK),
+    st.dictionaries(st.sampled_from(["train", "test", "bogus"]),
+                    st.one_of(st.sampled_from(JSON_JUNK),
+                              st.lists(st.sampled_from([14, 6, 1, 0, -1, True, 2.0, "6", None]), max_size=4)),
+                    max_size=3),
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     tasks=st.one_of(st.just(["r00", "r01", "r02"]), st.lists(st.sampled_from(ROAD_TOKENS), max_size=4),
@@ -193,16 +209,64 @@ def test_assemble_edge_lists_keep_the_exit_contract(world, lines):
     lines=st.lists(st.one_of(st.sampled_from(["r00 r01", "r01 r02"]),
                              st.lists(st.sampled_from(ROAD_TOKENS), min_size=1, max_size=3).map(" ".join)),
                    max_size=4),
+    rows=ROWS,
 )
-def test_dataset_task_graphs_keep_the_exit_contract(world, tasks, lines):
+def test_dataset_task_graphs_keep_the_exit_contract(world, tasks, lines, rows):
     root, ds = world
     fuzz_ds = root / "fuzz-ds"
     if not fuzz_ds.exists():
         shutil.copytree(ds, fuzz_ds)
-    write_json(fuzz_ds / "tasks.json", {"tasks": tasks, "h": 3, "t": 3, "p": 6})
+    meta = {"tasks": tasks, "h": 3, "t": 3, "p": 6}
+    if rows is KEEP:
+        meta["rows"] = json.loads((ds / "tasks.json").read_text(encoding="utf-8"))["rows"]
+    elif rows is not DELETE:
+        meta["rows"] = rows
+    write_json(fuzz_ds / "tasks.json", meta)
     (fuzz_ds / "graph.edges").write_text("\n".join(lines) + "\n", encoding="utf-8")
     hp = write_json(root / "fuzz-hp-small.json", {"k": 2, "max_iter": 2})
     assert_contract(["train", "--dataset", fuzz_ds, "--config", hp, "--out", root / "fuzz-out"])
+
+
+def edit_tasks_json(ds, **fields):
+    meta = json.loads((ds / "tasks.json").read_text(encoding="utf-8"))
+    write_json(ds / "tasks.json", {**meta, **fields})
+
+
+def repeat_a_road(ds):
+    meta = json.loads((ds / "tasks.json").read_text(encoding="utf-8"))
+    edit_tasks_json(ds, tasks=meta["tasks"] + ["r01"],
+                    rows={split: counts + [1] for split, counts in meta["rows"].items()})
+
+
+# A damaged task graph or row count, and where the error must point.
+DATASET_FAULTS = {
+    "unknown road": (lambda ds: (ds / "graph.edges").write_text("r00 r01\nr01 zz\n", encoding="utf-8"),
+                     "graph.edges:2", "task edge ('r01', 'zz') references unknown road"),
+    "self loop": (lambda ds: (ds / "graph.edges").write_text("# loop\nr02 r02\n", encoding="utf-8"),
+                  "graph.edges:2", "task edge may not be a self loop ('r02')"),
+    "three fields": (lambda ds: (ds / "graph.edges").write_text("r00 r01 r02\n", encoding="utf-8"),
+                     "graph.edges:1", "expected 2 fields, got 3"),
+    "repeated road": (repeat_a_road, "tasks.json", "duplicate road id in task list"),
+    "bool count": (lambda ds: edit_tasks_json(ds, rows={"train": [14, True, 14], "test": [6, 6, 6]}),
+                   "tasks.json", "'rows' must map 'train' and 'test' to one integer >= 1 per task"),
+    "extra split": (lambda ds: edit_tasks_json(ds, rows={"train": [14] * 3, "test": [6] * 3, "dev": []}),
+                    "tasks.json", "'rows' must map 'train' and 'test' to one integer >= 1 per task"),
+    "counts miss the values": (lambda ds: edit_tasks_json(ds, rows={"train": [14, 14, 13], "test": [6] * 3}),
+                               "train/values.npy", "not a float64 .npy vector of the 287 values"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(DATASET_FAULTS))
+def test_dataset_errors_name_their_file(world, fault):
+    root, ds = world
+    edit, where, message = DATASET_FAULTS[fault]
+    bad = root / f"fault-{fault.replace(' ', '-')}"
+    shutil.copytree(ds, bad)
+    edit(bad)
+    code, err = run_cli(["train", "--config", root / "hp.json", "--out", bad / "out", "--dataset", bad])
+    assert code == 2, (code, err)
+    assert err.startswith(f"error: {bad / where}: {message}"), err
+    assert not (bad / "out").exists()
 
 
 def npy_bytes(M, allow_pickle=False):
@@ -222,9 +286,15 @@ def vector(good):
     return np.load(io.BytesIO(good))
 
 
-# Ways to damage a split's parse cache; each gets the good cache's bytes and
-# those of the other split's cache (a vector of another length).
-CACHE_DAMAGE = {
+def with_nan(v):
+    v = v.copy()
+    v[-1] = math.nan  # the last task's last label
+    return v
+
+
+# Ways to damage a split's values.npy; each gets the good file's bytes and
+# those of the other split's (a vector of another length).
+VALUES_DAMAGE = {
     "truncated": lambda good, other: good[:len(good) // 2],
     "header only": lambda good, other: good[:128],
     "empty": lambda good, other: b"",
@@ -237,9 +307,10 @@ CACHE_DAMAGE = {
     "no values": lambda good, other: npy_bytes(vector(good)[:0]),
     "one value short": lambda good, other: npy_bytes(vector(good)[:-1]),
     "huge shape": lambda good, other: huge_header(vector(good)),
+    "NaN": lambda good, other: npy_bytes(with_nan(vector(good))),
     "directory": None,
 }
-CACHE_COMMANDS = {
+DATASET_COMMANDS = {
     "train": lambda root: ["train", "--config", root / "hp.json", "--out"],
     "train-baseline": lambda root: ["train-baseline", "--kind", "ridge", "--lam", "0.1", "--out"],
     "evaluate": lambda root: ["evaluate", "--model", root / "titan.json", "--model", root / "ridge.json",
@@ -248,40 +319,30 @@ CACHE_COMMANDS = {
 }
 
 
-def cache_run(root, ds, command, out):
-    code, err = run_cli(CACHE_COMMANDS[command](root) + [out, "--dataset", ds])
-    assert code in (0, 2, 3), (command, code, err)
-    assert "Traceback" not in err
-    return code, out.read_bytes() if out.exists() else None
-
-
-@pytest.fixture(scope="module")
-def cache_free(world):
-    """Each command's exit code and output on a copy of the dataset with no caches."""
-    root, ds = world
-    bare = root / "cache-free"
-    shutil.copytree(ds, bare)
-    for cache in bare.rglob("*.npy"):
-        cache.unlink()
-    return {command: cache_run(root, bare, command, root / f"cache-free-{command}")
-            for command in CACHE_COMMANDS}
-
-
-@pytest.mark.parametrize("damage", sorted(CACHE_DAMAGE))
-def test_damaged_caches_keep_the_exit_contract_and_the_outputs(world, cache_free, damage):
+@pytest.mark.parametrize("damage", sorted(VALUES_DAMAGE))
+def test_damaged_caches_keep_the_exit_contract_and_the_outputs(world, damage):
+    """With both splits' values.npy damaged, each command exits 2 naming
+    the first file it reads (a NaN: naming the task), and prints and
+    writes nothing else."""
     root, ds = world
     damaged = root / f"damaged-{damage.replace(' ', '-')}"
     shutil.copytree(ds, damaged)
-    caches = {split: split_cache_path(damaged, split) for split in ("train", "test")}
-    good = {split: path.read_bytes() for split, path in caches.items()}
+    paths = {split: damaged / split / "values.npy" for split in ("train", "test")}
+    good = {split: path.read_bytes() for split, path in paths.items()}
     for split, other in (("train", "test"), ("test", "train")):
-        if CACHE_DAMAGE[damage] is None:
-            caches[split].unlink()
-            caches[split].mkdir()
+        if VALUES_DAMAGE[damage] is None:
+            paths[split].unlink()
+            paths[split].mkdir()
         else:
-            caches[split].write_bytes(CACHE_DAMAGE[damage](good[split], good[other]))
-    for command, want in cache_free.items():
-        assert cache_run(root, damaged, command, damaged / f"out-{command}") == want, command
+            paths[split].write_bytes(VALUES_DAMAGE[damage](good[split], good[other]))
+    for command in DATASET_COMMANDS:
+        out = damaged / f"out-{command}"
+        code, err, stdout = run_cli_streams(DATASET_COMMANDS[command](root) + [out, "--dataset", damaged])
+        where = "task 'r02': Y contains non-finite entries" if damage == "NaN" else \
+            f"{paths['test' if command == 'evaluate' else 'train']}: "
+        assert code == 2, (command, code, err)
+        assert err.startswith(f"error: {where}") and err.count("\n") == 1, (command, err)
+        assert stdout == "" and not out.exists(), command
 
 
 @pytest.mark.parametrize("command, split", [("train", "train"), ("train-baseline", "train"),
@@ -290,12 +351,15 @@ def test_non_finite_labels_exit_2_naming_the_task(world, command, split):
     root, ds = world
     bad = root / f"nan-label-{command}-{split}"
     shutil.copytree(ds, bad)
-    labels = bad / split / "Y_r01.csv"
-    lines = labels.read_text(encoding="utf-8").splitlines()
-    labels.write_text("\n".join(["nan"] + lines[1:]) + "\n", encoding="utf-8")
-    code, err = run_cli(CACHE_COMMANDS[command](root) + [bad / "out", "--dataset", bad])
+    meta = json.loads((bad / "tasks.json").read_text(encoding="utf-8"))
+    n0, n1 = meta["rows"][split][:2]
+    p = meta["h"] + meta["t"]
+    values = np.load(bad / split / "values.npy")
+    values[n0 * (p + 1) + n1 * p] = math.nan  # task r01's first label
+    np.save(bad / split / "values.npy", values)
+    code, err = run_cli(DATASET_COMMANDS[command](root) + [bad / "out", "--dataset", bad])
     assert code == 2, (code, err)
-    assert err.startswith("error: ") and "task 'r01'" in err and "Traceback" not in err, err
+    assert err.startswith("error: ") and "task 'r01': Y" in err and "Traceback" not in err, err
     assert not (bad / "out").exists()
 
 
@@ -307,7 +371,7 @@ def test_window_sizes_in_tasks_json_must_be_positive_integers(world, command, h,
     shutil.copytree(ds, bad)
     meta = json.loads((bad / "tasks.json").read_text(encoding="utf-8"))
     write_json(bad / "tasks.json", {**meta, "h": h, "t": t})
-    code, err = run_cli(CACHE_COMMANDS[command](root) + [bad / "out", "--dataset", bad])
+    code, err = run_cli(DATASET_COMMANDS[command](root) + [bad / "out", "--dataset", bad])
     assert code == 2, (code, err)
     assert err.startswith(f"error: {bad / 'tasks.json'}: 'h' and 't' must be integers >= 1"), err
     assert not (bad / "out").exists()

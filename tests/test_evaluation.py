@@ -252,6 +252,8 @@ def test_sweep_rejects_bad_inputs(sweep_data):
         sweep_group_count(train, test, Hyperparams(), [0, 3])
     with pytest.raises(InputError, match="k=19"):
         sweep_group_count(train, test, Hyperparams(), [19])
+    with pytest.raises(InputError, match="k=2 given more than once"):
+        sweep_group_count(train, test, Hyperparams(), [2, 3, 2])
 
 
 # ---------------------------------------------------------------- report CSV

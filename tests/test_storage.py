@@ -1,5 +1,6 @@
 """Round trips and error reporting for the on-disk formats."""
 
+import io
 import json
 import shutil
 from decimal import Decimal
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import cell_write_matrix_csv, line_read_matrix_csv, random_dataset, split_cache_path
+from helpers import as_earlier_version, cell_write_matrix_csv, line_read_matrix_csv, random_dataset
 
 from titan import storage
 from titan.baselines import BaselineModel
@@ -308,18 +309,13 @@ def test_read_split_matches_read_dataset_and_reads_one_split(tmp_path):
         read_split(root, "validation")
 
 
-# --------------------------------------------------------------- parse cache
+# ---------------------------------------------------------------- values.npy
 
 
 def small_dataset(root, seed=1):
     train, test, _ = generate(SynthConfig(T=3, p=8, k=2, n_per_task=20,
                                           noise_sigma=0.5, graph_kind="path", seed=seed))
     return write_dataset(root, train, test)
-
-
-def drop_caches(root):
-    for cache in root.rglob("*.npy"):
-        cache.unlink()
 
 
 def assembled_dataset(root):
@@ -357,24 +353,40 @@ def run_dataset_commands(ds, out):
     return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
 
 
+def test_values_npy_is_each_task_x_then_y_as_np_save_writes_it(tmp_path):
+    train, test, _ = generate(SynthConfig(T=3, p=8, k=2, n_per_task=20,
+                                          noise_sigma=0.5, graph_kind="path", seed=1))
+    root = write_dataset(tmp_path / "ds", train, test)
+    assert sorted(root.rglob("*.npy")) == [root / "test" / "values.npy", root / "train" / "values.npy"]
+    meta = json.loads((root / "tasks.json").read_text(encoding="utf-8"))
+    assert sorted(meta) == ["h", "rows", "t", "tasks"]
+    for split, ds in (("train", train), ("test", test)):
+        assert meta["rows"][split] == [td.n for td in ds.tasks]
+        flat = np.concatenate([M.ravel() for td in ds.tasks for M in (td.X, td.Y)])
+        path = root / split / "values.npy"
+        np.testing.assert_array_equal(np.load(path), flat)
+        buf = io.BytesIO()
+        np.save(buf, flat)
+        assert path.read_bytes() == buf.getvalue()
+
+
 def test_cache_hit_equals_parse_with_its_dtype_and_layout(tmp_path, monkeypatch):
+    """Reading values.npy gives the arrays the CSV parse gives."""
     root = small_dataset(tmp_path / "ds")
     assembled = assembled_dataset(tmp_path)
-    assert sorted(root.rglob("*.npy")) == [split_cache_path(root, "test"), split_cache_path(root, "train")]
 
     def no_parse(path, columns=None):
         raise AssertionError(f"parsed {path}")
 
     with monkeypatch.context() as m:
         m.setattr(storage, "read_matrix_csv", no_parse)
-        cached = read_dataset(root)
+        binary = read_dataset(root)
         # every command that reads a dataset written by synth or assemble
-        # takes the cache, never the parse
+        # reads values.npy, never a CSV
         for ds in (root, assembled):
             run_dataset_commands(ds, tmp_path / f"out-{ds.name}")
-    drop_caches(root)
-    parsed = read_dataset(root)
-    for a, b in zip([td for ds in cached for td in ds.tasks], [td for ds in parsed for td in ds.tasks]):
+    parsed = read_dataset(as_earlier_version(root))
+    for a, b in zip([td for ds in binary for td in ds.tasks], [td for ds in parsed for td in ds.tasks]):
         for got, want in ((a.X, b.X), (a.Y, b.Y)):
             assert np.array_equal(got, want)
             assert got.dtype == want.dtype == np.float64
@@ -383,53 +395,54 @@ def test_cache_hit_equals_parse_with_its_dtype_and_layout(tmp_path, monkeypatch)
 
 
 def test_commands_write_the_same_bytes_without_caches(tmp_path):
-    cached = small_dataset(tmp_path / "cached")
-    bare = tmp_path / "bare"
-    shutil.copytree(cached, bare)
-    drop_caches(bare)
-    with_caches = run_dataset_commands(cached, tmp_path / "out-cached")
-    assert run_dataset_commands(bare, tmp_path / "out-bare") == with_caches
-    assert not list(bare.rglob("*.npy"))  # reading never writes a cache
+    """A dataset without values.npy, as earlier versions wrote it, is
+    parsed and gives the same outputs."""
+    current = small_dataset(tmp_path / "current")
+    older = tmp_path / "older"
+    shutil.copytree(current, older)
+    as_earlier_version(older)
+    want = run_dataset_commands(current, tmp_path / "out-current")
+    assert run_dataset_commands(older, tmp_path / "out-older") == want
+    assert not list(older.rglob("values.npy"))  # reading never writes one
 
 
-def test_edited_csv_is_read_with_its_new_values(tmp_path):
+def test_commands_write_the_same_bytes_without_split_csvs(tmp_path):
     root = small_dataset(tmp_path / "ds")
-    before = read_split(root, "train")
-    stale = split_cache_path(root, "train")
-    x_csv, y_csv = root / "train" / "X_r01.csv", root / "train" / "Y_r01.csv"
-    X = before.tasks[1].X.copy()
-    X[3, 2] += 1.0
-    write_matrix_csv(x_csv, X)
-    y_lines = y_csv.read_text(encoding="utf-8").splitlines()
-    y_lines[0] = "7.25"
-    y_csv.write_text("\n".join(y_lines) + "\n", encoding="utf-8")
-    assert stale.is_file() and not split_cache_path(root, "train").exists()
-    after = read_split(root, "train")
-    np.testing.assert_array_equal(after.tasks[1].X, X)
-    assert after.tasks[1].Y[0] == 7.25
-    np.testing.assert_array_equal(after.tasks[1].Y[1:], before.tasks[1].Y[1:])
-    np.testing.assert_array_equal(after.tasks[0].X, before.tasks[0].X)
+    bare = tmp_path / "bare"
+    shutil.copytree(root, bare)
+    csvs = sorted(bare.rglob("*.csv"))
+    assert len(csvs) == 12
+    for csv in csvs:
+        csv.unlink()
+    assert run_dataset_commands(bare, tmp_path / "out-bare") == run_dataset_commands(root, tmp_path / "out")
 
 
 @settings(max_examples=60, deadline=None)
 @given(damage=st.one_of(st.binary(max_size=400), st.integers(0, 10**6)))
-def test_damaged_cache_falls_back_to_the_parse(tmp_path_factory, damage):
+def test_damaged_values_npy_exits_naming_the_file(tmp_path_factory, damage):
     root = tmp_path_factory.mktemp("damaged")
     small_dataset(root)
-    cache = split_cache_path(root, "test")
-    good = cache.read_bytes()
-    # random bytes, or the real cache cut short
-    cache.write_bytes(damage if isinstance(damage, bytes) else good[:damage % len(good)])
-    got = read_split(root, "test").tasks
-    for road, td in zip(("r00", "r01", "r02"), got):
-        assert np.array_equal(td.X, read_matrix_csv(root / "test" / f"X_{road}.csv", columns=8))
-        assert np.array_equal(td.Y, read_matrix_csv(root / "test" / f"Y_{road}.csv", columns=1)[:, 0])
+    values = root / "test" / "values.npy"
+    good = values.read_bytes()
+    # random bytes, or the real file cut short
+    values.write_bytes(damage if isinstance(damage, bytes) else good[:damage % len(good)])
+    with pytest.raises(InputError) as exc:
+        read_split(root, "test")
+    assert str(exc.value).startswith(f"{values}: ")
+    read_split(root, "train")  # the other split is intact
 
 
 def test_rewriting_a_dataset_replaces_its_caches(tmp_path):
+    """Rewriting a dataset directory replaces each split's values.npy."""
     root = small_dataset(tmp_path / "ds", seed=1)
     small_dataset(root, seed=2)
-    assert sorted(root.rglob("*.npy")) == [split_cache_path(root, "test"), split_cache_path(root, "train")]
+    assert sorted(root.rglob("*.npy")) == [root / "test" / "values.npy", root / "train" / "values.npy"]
+    train, test, _ = generate(SynthConfig(T=3, p=8, k=2, n_per_task=20,
+                                          noise_sigma=0.5, graph_kind="path", seed=2))
+    for got, want in zip(read_dataset(root), (train, test)):
+        for a, b in zip(got.tasks, want.tasks):
+            np.testing.assert_array_equal(a.X, b.X)
+            np.testing.assert_array_equal(a.Y, b.Y)
 
 
 def test_dataset_reader_errors(tmp_path):
@@ -445,14 +458,22 @@ def test_dataset_reader_errors(tmp_path):
     with pytest.raises(InputError, match="expected 2 fields, got 3"):
         read_task_graph(tmp_path)
     (tmp_path / "graph.edges").write_text("# none\na b\n", encoding="utf-8")
-    graph, h, t = read_task_graph(tmp_path)
-    assert graph.tasks == ("a", "b") and (h, t) == (2, 2)
+    graph, h, t, rows = read_task_graph(tmp_path)
+    assert graph.tasks == ("a", "b") and (h, t) == (2, 2) and rows is None
+    (tmp_path / "tasks.json").write_text(
+        '{"tasks": ["a", "b"], "h": 2, "t": 2, "p": 4, "rows": {"test": [1, 2], "train": [3, 4]}}\n',
+        encoding="utf-8")
+    assert read_task_graph(tmp_path)[3] == {"train": [3, 4], "test": [1, 2]}
     for meta, message in [
         ('{"tasks": ["a", "../../evil"], "h": 2, "t": 2}', "not a plain file name"),
         ('{"tasks": ["a", 7], "h": 2, "t": 2}', "not a plain file name"),
         ('{"tasks": [], "h": 2, "t": 2}', "non-empty list"),
         ('{"tasks": ["a", "b"], "h": "x", "t": 2}', "must be integers"),
         ('["a", "b"]', "JSON object"),
+        ('{"tasks": ["a", "b"], "h": 2, "t": 2, "rows": null}', "'rows' must map"),
+        ('{"tasks": ["a", "b"], "h": 2, "t": 2, "rows": {"train": [3, 4]}}', "'rows' must map"),
+        ('{"tasks": ["a", "b"], "h": 2, "t": 2, "rows": {"train": [3, 4], "test": [1]}}', "'rows' must map"),
+        ('{"tasks": ["a", "b"], "h": 2, "t": 2, "rows": {"train": [3, 4], "test": [1, true]}}', "'rows' must map"),
     ]:
         (tmp_path / "tasks.json").write_text(meta + "\n", encoding="utf-8")
         with pytest.raises(InputError, match=message):
