@@ -85,13 +85,13 @@ def _fista(gs: GramStats, lam, prox, penalty):
 
     The loss and its gradient 2 (S_r w_r - b_r) come from the Gram
     statistics; the loss is separable across columns, so the step is
-    1 / L for the largest per-task Lipschitz constant L. `prox(V, kappa)`
+    1 / L for the largest per-task Lipschitz constant L, gs.lipschitz,
+    computed once per dataset. `prox(V, kappa)`
     is the proximal map of kappa penalty. Stops when the iterate's l-inf
     change drops below FISTA_TOL or at FISTA_MAX_ITER. Returns
     (solution, objective history).
     """
-    lipschitz = 2.0 * float(np.max(np.linalg.eigvalsh(gs.S)[:, -1]))
-    step = 1.0 / lipschitz if lipschitz > 0 else 1.0
+    step = 1.0 / gs.lipschitz if gs.lipschitz > 0 else 1.0
 
     def grad(W):
         return 2.0 * (gs.fit(W.T) - gs.B).T

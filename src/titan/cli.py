@@ -60,11 +60,11 @@ def cmd_synth(args):
     config = storage.read_synth_config(args.config) if args.config else synth.SynthConfig()
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    train, test, truth = synth.generate(config)
-    storage.write_dataset(args.out, train, test, truth)
+    graph, h, t, rows, tasks, truth = synth.draw(config)
+    storage.write_dataset(args.out, graph, h, t, rows, tasks, truth)
     log.info(
         "wrote dataset: %d tasks, p=%d, %d train / %d test rows per task",
-        train.n_tasks, train.p, train.tasks[0].n, test.tasks[0].n,
+        graph.n_tasks, h + t, rows["train"][0], rows["test"][0],
     )
     return 0
 
@@ -179,7 +179,7 @@ def cmd_assemble(args):
         split=args.split, seed=args.seed if args.seed is not None else 0,
         standardize=args.standardize,
     )
-    storage.write_dataset(args.out, train, test)
+    storage.write_dataset(args.out, *storage.in_memory(train, test))
     log.info("assembled %d tasks from %d incidents", train.n_tasks, len(incidents))
     return 0
 

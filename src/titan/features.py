@@ -115,6 +115,13 @@ class GramStats:
         """sum_r ||X_r V[r] - Y_r||^2 / n_r for weights V stacked (T, p)."""
         return float(self.c.sum() + (V * (self.fit(V) - 2.0 * self.B)).sum())
 
+    @cached_property
+    def lipschitz(self):
+        """2 max_r lambda_max(S[r]), the Lipschitz constant of the loss
+        gradient over all tasks; computed on first use and kept, so every
+        penalty of a baseline grid shares one eigvalsh."""
+        return 2.0 * float(np.max(np.linalg.eigvalsh(self.S)[:, -1]))
+
 
 @dataclass(frozen=True, eq=False)
 class MultiTaskDataset:

@@ -321,11 +321,14 @@ def residuals(state_prev: SolverState, state_new: SolverState, hp: Hyperparams):
     return p_res, d_res
 
 
-def _segment_contiguous(rows, weights, k):
+def _segment_contiguous(rows, weights, ks):
     """Split row indices 0..p-1 into k contiguous segments minimizing
-    weighted within-segment dispersion, by dynamic programming.
+    weighted within-segment dispersion, by dynamic programming, for each
+    k in ks.
 
-    Returns the k+1 segment boundaries (0 = first, p = last).
+    Column c of the table depends only on column c - 1, so one table up
+    to max(ks) serves every k. Returns, per k, the k+1 segment boundaries
+    (0 = first, p = last).
     """
     p = rows.shape[0]
     Sw = np.vstack([np.zeros(rows.shape[1]), np.cumsum(rows * weights[:, None], axis=0)])
@@ -340,24 +343,29 @@ def _segment_contiguous(rows, weights, k):
         mu2[:, i] = ((Sw[i] - Sw) ** 2).sum(axis=1)
     upper = np.triu(np.ones((p + 1, p + 1), dtype=bool), 1)
     spread = mu2 / np.where(upper, np.maximum(sw[None, :] - sw[:, None], 1e-300), np.inf)
-    D = np.full((p + 1, k + 1), np.inf)
-    arg = np.zeros((p + 1, k + 1), dtype=int)
+    K = max(ks)
+    D = np.full((p + 1, K + 1), np.inf)
+    arg = np.zeros((p + 1, K + 1), dtype=int)
     D[0, 0] = 0.0
-    for c in range(1, k + 1):
+    for c in range(1, K + 1):
         for i in range(c, p + 1):
             vals = D[c - 1:i, c - 1] + dsq[c - 1:i, i] - spread[c - 1:i, i]
             j = int(np.argmin(vals))
             D[i, c], arg[i, c] = vals[j], c - 1 + j
-    bounds = [p]
-    i = p
-    for c in range(k, 0, -1):
-        i = int(arg[i, c])
-        bounds.append(i)
-    return bounds[::-1]
+    segmentations = []
+    for k in ks:
+        bounds = [p]
+        i = p
+        for c in range(k, 0, -1):
+            i = int(arg[i, c])
+            bounds.append(i)
+        segmentations.append(bounds[::-1])
+    return segmentations
 
 
-def structured_q0(data: MultiTaskDataset, k):
-    """Data-driven feasible start from contiguous feature segments.
+def structured_q0(data: MultiTaskDataset, ks):
+    """Data-driven feasible starts from contiguous feature segments, one
+    p x k Q0 per k in ks.
 
     Temporal feature groups are contiguous windows, so a good starting
     grouping is a segmentation of the feature axis: estimate per-task
@@ -367,19 +375,23 @@ def structured_q0(data: MultiTaskDataset, k):
     rows by magnitude so noise-dominated features do not place
     boundaries. Each segment becomes one Q column carrying the ridge
     magnitudes, normalized: disjoint supports, so Q0 is exactly
-    feasible. Deterministic given the data.
+    feasible. Deterministic given the data. Everything but the last
+    cut is independent of k, so it is done once for all of ks, and each
+    Q0 is the one a call with that k alone returns.
     """
     B = fit_ridge(data, 0.01)
     norms = np.linalg.norm(B, axis=1)
     F = (np.vstack([B[:1], B[:-1]]) + B + np.vstack([B[1:], B[-1:]])) / 3.0
     fn = np.linalg.norm(F, axis=1)
     rows = F / np.where(fn > 0, fn, 1.0)[:, None]
-    bounds = _segment_contiguous(rows, np.maximum(fn, 1e-12) ** 2, k)
-    Q = np.zeros((data.p, k))
-    for c in range(k):
-        seg = slice(bounds[c], bounds[c + 1])
-        Q[seg, c] = np.maximum(norms[seg], 1e-12)
-    return Q / np.linalg.norm(Q, axis=0)
+    starts = []
+    for k, bounds in zip(ks, _segment_contiguous(rows, np.maximum(fn, 1e-12) ** 2, ks)):
+        Q = np.zeros((data.p, k))
+        for c in range(k):
+            seg = slice(bounds[c], bounds[c + 1])
+            Q[seg, c] = np.maximum(norms[seg], 1e-12)
+        starts.append(Q / np.linalg.norm(Q, axis=0))
+    return starts
 
 
 def initial_state(data: MultiTaskDataset, hp: Hyperparams, q0=None):
@@ -392,7 +404,7 @@ def initial_state(data: MultiTaskDataset, hp: Hyperparams, q0=None):
         if Q.shape != (p, k):
             raise InputError(f"q0 must have shape {(p, k)}, got {Q.shape}")
     else:
-        Q = structured_q0(data, k)
+        (Q,) = structured_q0(data, [k])
     W = np.zeros((k, T))
     return SolverState(
         W=W,

@@ -16,15 +16,17 @@ there is no fallback.
 Beside it, write_dataset writes each task's `X_<road>.csv` and
 `Y_<road>.csv` with %.17g (encoded in numpy blocks, see csvfmt), which
 round-trips doubles exactly. They are a text view of the same values
-that titan never reads back, so editing one changes nothing. A tasks.json
-without `rows` was written by an earlier version, with no values.npy:
-its split CSVs are parsed by read_matrix_csv, ~0.3 s for the train split
-of a 24-road, 500-row dataset on a 2-core machine (~1.5 ms from
-values.npy).
+that titan never reads back, so editing one changes nothing. A
+tasks.json without `rows` was written by an earlier version, with no
+values.npy: its split CSVs are parsed by read_matrix_csv, ~0.3 s for the
+train split of a 24-road, 500-row dataset on a 2-core machine (~1.5 ms
+from values.npy). Its `<split>/cache.<64 hex digits>.npy` parse caches
+are never read, and writing over the directory deletes them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -96,22 +98,6 @@ def read_matrix_csv(path, columns=None):
     return M
 
 
-def _write_split(sub, ds: MultiTaskDataset):
-    """The split's CSV view and its values.npy."""
-    matrices = []
-    for td in ds.tasks:
-        write_matrix_csv(sub / f"X_{td.road_id}.csv", td.X)
-        write_matrix_csv(sub / f"Y_{td.road_id}.csv", td.Y[:, None])
-        matrices += [np.ascontiguousarray(M, dtype=np.float64) for M in (td.X, td.Y)]
-    fmt = np.lib.format
-    header = {"descr": fmt.dtype_to_descr(np.dtype(np.float64)), "fortran_order": False,
-              "shape": (sum(M.size for M in matrices),)}
-    with open(sub / VALUES_NAME, "wb") as fh:  # np.save's format, written a matrix at a time
-        fmt.write_array_header_1_0(fh, header)
-        for M in matrices:
-            fh.write(M)
-
-
 def _load_vector(path, size):
     """The float64 vector in an .npy file; raises InputError naming the
     file unless it holds exactly one native float64 vector of `size`
@@ -141,25 +127,79 @@ def _split_values(path, counts, p):
     return pairs
 
 
-def write_dataset(root, train: MultiTaskDataset, test: MultiTaskDataset, truth: GroundTruth | None = None):
-    """Write the dataset directory layout; returns the root path."""
+def _is_stale_cache(name):
+    """`cache.` + 64 lowercase hex digits + `.npy`: an earlier version's
+    parse cache."""
+    digest = name[len("cache."):-len(".npy")]
+    return (name.startswith("cache.") and name.endswith(".npy") and len(digest) == 64
+            and all(c in "0123456789abcdef" for c in digest))
+
+
+def _clear_split(sub):
+    """Create the split directory `sub`, deleting any stale parse cache in
+    it; returns `sub`."""
+    sub.mkdir(exist_ok=True)
+    for old in sub.iterdir():
+        if _is_stale_cache(old.name):
+            old.unlink()
+    return sub
+
+
+def _write_task(sub, road, td: TaskDataset, shape, values):
+    """One task's split CSVs, and its X then Y appended to `values`."""
+    if td.road_id != road or td.X.shape != shape:
+        raise InputError(f"{sub.name} task {td.road_id!r}: expected road {road!r} "
+                         f"with {shape[0]} rows of p={shape[1]} features")
+    write_matrix_csv(sub / f"X_{road}.csv", td.X)
+    write_matrix_csv(sub / f"Y_{road}.csv", td.Y[:, None])
+    for M in (td.X, td.Y):
+        values.write(np.ascontiguousarray(M, dtype=np.float64))
+
+
+def write_dataset(root, graph: TaskGraph, h, t, rows, tasks, truth: GroundTruth | None = None):
+    """Write the dataset directory layout, one task at a time; returns the
+    root path.
+
+    `rows`, each split's per-task row counts, sets the values.npy headers
+    before any value is written. `tasks` yields one (train, test)
+    TaskDataset pair per road of `graph`, in task order; each is written
+    and dropped before the next is asked for, so `synth` streams its
+    generator through here holding one task. A dataset already in memory
+    passes `*in_memory(train, test)`. tasks.json is deleted first and
+    written last, so a write that failed part-way leaves no dataset.
+    """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    rows = {split: [td.n for td in ds.tasks] for split, ds in zip(SPLITS, (train, test))}
-    _dump_json({"tasks": list(train.graph.tasks), "h": train.h, "t": train.t, "rows": rows},
-               root / "tasks.json")
-    edge_lines = [f"{a} {b}" for a, b in train.graph.task_edges()]
+    (root / "tasks.json").unlink(missing_ok=True)
+    edge_lines = [f"{a} {b}" for a, b in graph.task_edges()]
     (root / "graph.edges").write_text("\n".join(edge_lines) + "\n", encoding="utf-8")
-    for split, ds in zip(SPLITS, (train, test)):
-        sub = root / split
-        sub.mkdir(exist_ok=True)
-        _write_split(sub, ds)
+    p = h + t
+    fmt = np.lib.format
+    with contextlib.ExitStack() as stack:
+        values = []
+        for split in SPLITS:  # np.save's format, its values appended a matrix at a time
+            fh = stack.enter_context(open(_clear_split(root / split) / VALUES_NAME, "wb"))
+            fmt.write_array_header_1_0(fh, {"descr": fmt.dtype_to_descr(np.dtype(np.float64)),
+                                            "fortran_order": False, "shape": (sum(rows[split]) * (p + 1),)})
+            values.append(fh)
+        for r, (road, pair) in enumerate(zip(graph.tasks, tasks, strict=True)):
+            for split, td, fh in zip(SPLITS, pair, values, strict=True):
+                _write_task(root / split, road, td, (rows[split][r], p), fh)
+            del pair, td  # before the next task is drawn
     if truth is not None:
         _dump_json(
             {"tasks": list(truth.tasks), "Q": _fmt_matrix(truth.Q), "W": _fmt_matrix(truth.W)},
             root / "ground_truth.json",
         )
+    _dump_json({"tasks": list(graph.tasks), "h": h, "t": t, "rows": rows}, root / "tasks.json")
     return root
+
+
+def in_memory(train: MultiTaskDataset, test: MultiTaskDataset):
+    """write_dataset's arguments after the root for a dataset already in
+    memory: (graph, h, t, rows, its zipped (train, test) tasks)."""
+    rows = {split: [td.n for td in ds.tasks] for split, ds in zip(SPLITS, (train, test))}
+    return train.graph, train.h, train.t, rows, zip(train.tasks, test.tasks)
 
 
 def _row_counts(rows, n_tasks):

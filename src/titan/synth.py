@@ -19,11 +19,12 @@ from .roadnet import TaskGraph, build_line_graph, load_edge_list
 
 GRAPH_KINDS = ("star", "path", "complete", "custom-edge-list")
 # Cap on the values a synthetic dataset holds, T * n_per_task * (p + 1)
-# (features plus label). generate keeps every value in memory as a
-# float64 and write_dataset stores each in values.npy (8 bytes) and as
-# ~20 bytes of %.17g text, so 1e8 values is already ~0.8 GB of RAM and
-# ~2.8 GB on disk; a larger request is a typo, and is refused before any
-# of it is allocated.
+# (features plus label). write_dataset stores each in values.npy (8
+# bytes) and as ~20 bytes of %.17g text, so 1e8 values is ~2.8 GB on
+# disk (`synth` streams one road at a time, so its memory does not grow
+# with T), and the library's generate keeps every value in memory as a
+# float64, ~0.8 GB; a larger request is a typo, and is refused before any
+# of it is drawn.
 MAX_SYNTH_VALUES = 10**8
 
 
@@ -155,12 +156,27 @@ def ar1_rows(rng, n, p, phi):
     return X
 
 
-def generate(config: SynthConfig):
-    """Generate (train, test, ground_truth) for the configured topology.
+def _task_pair(rng, road, Q, w, config: SynthConfig, n_train):
+    """One road's (train, test) TaskDataset pair (see draw)."""
+    n = config.n_per_task
+    X = ar1_rows(rng, n, config.p, config.feature_corr)
+    Y = X @ Q @ w
+    if config.noise_sigma > 0:
+        Y = Y + config.noise_sigma * rng.standard_normal(n)
+    return TaskDataset(road, X[:n_train], Y[:n_train]), TaskDataset(road, X[n_train:], Y[n_train:])
 
-    Per task: n_per_task AR(1) feature rows, labels X Q* W*_r + eps with
-    eps ~ N(0, noise_sigma^2), then a fixed 80/20 row split (rows are
-    exchangeable by construction, so the first-80% slice is unbiased).
+
+def draw(config: SynthConfig):
+    """Plant the ground truth, then draw the tasks lazily: returns
+    (graph, h, t, rows, tasks, truth), storage.write_dataset's arguments
+    after its root, so `synth` streams one road at a time.
+
+    `tasks` is a generator of one (train, test) TaskDataset pair per road,
+    in task order, each drawn when asked for: n_per_task AR(1) feature
+    rows, labels X Q* W*_r + eps with eps ~ N(0, noise_sigma^2), then a
+    fixed 80/20 row split (rows are exchangeable by construction, so the
+    first-80% slice is unbiased). Random draws, in order: Q*, W*, then
+    each road's rows and noise.
     """
     graph = make_task_graph(config)
     ss = np.random.SeedSequence(config.seed)
@@ -168,23 +184,19 @@ def generate(config: SynthConfig):
     Q = plant_Q(config.p, config.k, q_seed)
     W = plant_W(graph, config.k, config.weight_smoothness, w_seed)
     truth = GroundTruth(Q=Q, W=W, tasks=graph.tasks)
-
+    n_train = max(1, int(np.floor(0.8 * config.n_per_task)))
+    rows = {"train": [n_train] * graph.n_tasks, "test": [config.n_per_task - n_train] * graph.n_tasks}
     rng = np.random.default_rng(data_seed)
-    n = config.n_per_task
-    n_train = max(1, int(np.floor(0.8 * n)))
-    train_tasks, test_tasks = [], []
-    for r, road in enumerate(graph.tasks):
-        X = ar1_rows(rng, n, config.p, config.feature_corr)
-        Y = X @ Q @ W[:, r]
-        if config.noise_sigma > 0:
-            Y = Y + config.noise_sigma * rng.standard_normal(n)
-        train_tasks.append(TaskDataset(road, X[:n_train], Y[:n_train]))
-        test_tasks.append(TaskDataset(road, X[n_train:], Y[n_train:]))
-
+    tasks = (_task_pair(rng, road, Q, W[:, r], config, n_train) for r, road in enumerate(graph.tasks))
     # h + t must equal p for the dataset invariant; the synthetic window
     # split is arbitrary, so put half the features on each side.
     h = config.p // 2
-    t = config.p - h
-    train = MultiTaskDataset(tuple(train_tasks), graph, h, t)
-    test = MultiTaskDataset(tuple(test_tasks), graph, h, t)
-    return train, test, truth
+    return graph, h, config.p - h, rows, tasks, truth
+
+
+def generate(config: SynthConfig):
+    """Generate (train, test, ground_truth) for the configured topology:
+    draw's tasks, collected in memory."""
+    graph, h, t, _, tasks, truth = draw(config)
+    train, test = zip(*tasks)
+    return MultiTaskDataset(train, graph, h, t), MultiTaskDataset(test, graph, h, t), truth

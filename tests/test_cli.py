@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,17 @@ from titan import evaluation
 from titan.cli import main
 from titan.errors import InputError, NumericalAbort
 from titan.solver import Hyperparams, TrainedModel, predict
-from titan.storage import read_dataset, read_ground_truth, read_matrix_csv, read_model, write_matrix_csv, write_model
+from titan.storage import (
+    in_memory,
+    read_dataset,
+    read_ground_truth,
+    read_matrix_csv,
+    read_model,
+    write_dataset,
+    write_matrix_csv,
+    write_model,
+)
+from titan.synth import SynthConfig, generate
 
 
 def sha_tree(root):
@@ -141,6 +152,59 @@ def test_synth_invalid_config_exits_2(tmp_path, capsys):
         cfg = write_json(tmp_path / "huge.json", huge)
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "ds")]) == 2
         assert "too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    {"T": 5, "p": 12, "k": 3, "n_per_task": 30, "graph_kind": "star", "seed": 3},
+    {"T": 4, "p": 10, "k": 2, "n_per_task": 25, "graph_kind": "path", "seed": 4, "noise_sigma": 0.0},
+    {"T": 4, "p": 9, "k": 3, "n_per_task": 21, "graph_kind": "complete", "seed": 5, "feature_corr": 0.0},
+    {"p": 8, "k": 4, "n_per_task": 17, "graph_kind": "custom-edge-list", "seed": 6},
+], ids=["star", "path", "complete", "custom-edge-list"])
+def test_streamed_synth_writes_the_bytes_of_the_in_memory_dataset(tmp_path, config):
+    if config["graph_kind"] == "custom-edge-list":
+        edges = tmp_path / "roads.edges"
+        edges.write_text("v0 v1 a\nv1 v2 b\nv1 v3 c\nv3 v4 d\n", encoding="utf-8")
+        config = dict(config, edge_list_path=str(edges))
+    cfg = write_json(tmp_path / "synth.json", config)
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "streamed")]) == 0
+    train, test, truth = generate(SynthConfig(**config))
+    write_dataset(tmp_path / "in_memory", *in_memory(train, test), truth)
+    streamed = sha_tree(tmp_path / "streamed")
+    assert len(streamed) == 3 + 2 * (2 * train.n_tasks + 1)
+    assert streamed == sha_tree(tmp_path / "in_memory")
+
+
+def test_synth_peak_memory_does_not_grow_with_task_count(tmp_path):
+    """synth holds one task at a time: numpy's allocations (which
+    tracemalloc sees) peak the same for 6 roads as for 24. Holding every
+    task would add 18 roads' 200 x 61 values, ~1.8 MB."""
+    def peak(T):
+        cfg = write_json(tmp_path / f"synth{T}.json", {"T": T})
+        tracemalloc.start()
+        try:
+            assert main(["synth", "--config", cfg, "--out", str(tmp_path / f"ds{T}")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(6)  # warm-up: first-call imports and caches
+    small, large = peak(6), peak(24)
+    assert large < 1.2 * small, (small, large)
+
+
+def test_synth_failing_part_way_leaves_no_dataset(tmp_path, capsys):
+    """A road whose labels overflow stops synth after the directory was
+    begun: its tasks.json, written last and deleted first, is absent, so
+    no command reads the rest as a dataset."""
+    ds = tmp_path / "ds"
+    assert main(["synth", "--config", write_json(tmp_path / "ok.json", {"T": 3}), "--out", str(ds)]) == 0
+    cfg = write_json(tmp_path / "overflow.json", {"T": 3, "noise_sigma": 1e308})
+    with np.errstate(over="ignore"):
+        assert main(["synth", "--config", cfg, "--out", str(ds)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (ds / "tasks.json").exists()
+    assert main(["train", "--dataset", str(ds), "--out", str(tmp_path / "m.json")]) == 2
+    assert "missing file" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- train
@@ -287,6 +351,24 @@ def test_train_baseline_ridge_without_a_definite_system_exits_3(tmp_path):
     assert proc.stderr.startswith("numerical failure: ridge lambda=1e-300")
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["lasso", "nmtl"])
+def test_train_baseline_grid_computes_the_step_size_once(small_ds, tmp_path, monkeypatch, kind):
+    """The FISTA step bound is cached with the Gram statistics, so the
+    whole default grid runs one eigvalsh."""
+    _, _, ds = small_ds
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert main(["train-baseline", "--dataset", str(ds), "--kind", kind, "--out", str(tmp_path / "b.json")]) == 0
+    assert len(titan.baselines.BASELINES[kind]) == 3
+    assert calls == [(3, 12, 12)]
 
 
 # ------------------------------------------------------------------ evaluate

@@ -675,8 +675,8 @@ def test_residuals_orthogonality_flag_drops_gram_term():
 def test_structured_q0_feasible_and_deterministic():
     train, _, _ = generate(SynthConfig(T=3, p=12, k=3, n_per_task=60, noise_sigma=0.5,
                                        graph_kind="path", seed=4))
-    Q1 = structured_q0(train, 3)
-    Q2 = structured_q0(train, 3)
+    (Q1,) = structured_q0(train, [3])
+    (Q2,) = structured_q0(train, [3])
     np.testing.assert_array_equal(Q1, Q2)
     assert Q1.shape == (12, 3)
     assert np.all(Q1 >= 0)
@@ -692,7 +692,7 @@ def test_structured_q0_feasible_and_deterministic():
 def test_structured_q0_single_group_covers_everything():
     train, _, _ = generate(SynthConfig(T=3, p=12, k=3, n_per_task=60, noise_sigma=0.5,
                                        graph_kind="path", seed=4))
-    Q = structured_q0(train, 1)
+    (Q,) = structured_q0(train, [1])
     assert Q.shape == (12, 1)
     assert np.all(Q > 0)
 
@@ -708,21 +708,36 @@ def _weighted_dispersion(rows, weights, bounds):
 
 
 def test_segment_contiguous_matches_brute_force_minimum():
+    """One table up to k serves every k' <= k, asked for in any order:
+    each k' gets the boundaries a table for k' alone gives, and they are
+    a minimum."""
     rng = np.random.default_rng(11)
     for p in range(1, 10):
-        for k in range(1, min(p, 4) + 1):
+        for k_max in range(1, min(p, 4) + 1):
             for _ in range(3):
                 rows = rng.standard_normal((p, int(rng.integers(1, 4))))
                 weights = rng.uniform(0.05, 3.0, p) ** 2
-                bounds = _segment_contiguous(rows, weights, k)
-                assert len(bounds) == k + 1 and bounds[0] == 0 and bounds[-1] == p
-                assert all(a < b for a, b in zip(bounds[:-1], bounds[1:]))
-                best = min(
-                    _weighted_dispersion(rows, weights, [0, *cuts, p])
-                    for cuts in itertools.combinations(range(1, p), k - 1)
-                )
-                got = _weighted_dispersion(rows, weights, bounds)
-                np.testing.assert_allclose(got, best, rtol=1e-12, atol=1e-15, err_msg=f"p={p} k={k}")
+                ks = [int(k) for k in rng.permutation(np.arange(1, k_max + 1))]
+                for k, bounds in zip(ks, _segment_contiguous(rows, weights, ks)):
+                    assert bounds == _segment_contiguous(rows, weights, [k])[0]
+                    assert len(bounds) == k + 1 and bounds[0] == 0 and bounds[-1] == p
+                    assert all(a < b for a, b in zip(bounds[:-1], bounds[1:]))
+                    best = min(
+                        _weighted_dispersion(rows, weights, [0, *cuts, p])
+                        for cuts in itertools.combinations(range(1, p), k - 1)
+                    )
+                    got = _weighted_dispersion(rows, weights, bounds)
+                    np.testing.assert_allclose(got, best, rtol=1e-12, atol=1e-15, err_msg=f"p={p} k={k}")
+
+
+def test_shared_structured_q0_equals_per_k_bit_for_bit():
+    train, _, _ = generate(SynthConfig(T=4, p=24, k=4, n_per_task=80, noise_sigma=1.0,
+                                       graph_kind="path", seed=6))
+    ks = [3, 4, 6, 8, 2]
+    for k, Q in zip(ks, structured_q0(train, ks)):
+        (alone,) = structured_q0(train, [k])
+        assert Q.shape == (24, k)
+        assert Q.tobytes() == alone.tobytes()
 
 
 def test_initial_state_shapes_and_duals():

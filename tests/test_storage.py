@@ -19,6 +19,7 @@ from titan.cli import main
 from titan.errors import InputError
 from titan.solver import Hyperparams, TrainedModel, fit
 from titan.storage import (
+    in_memory,
     read_dataset,
     read_ground_truth,
     read_hyperparams,
@@ -271,7 +272,7 @@ def test_matrix_csv_writer_exact_on_constructed_values(tmp_path, case):
 def test_dataset_round_trip(tmp_path):
     train, test, truth = generate(SynthConfig(T=3, p=8, k=2, n_per_task=20,
                                               noise_sigma=0.5, graph_kind="path", seed=0))
-    root = write_dataset(tmp_path / "ds", train, test, truth)
+    root = write_dataset(tmp_path / "ds", *in_memory(train, test), truth)
     train2, test2 = read_dataset(root)
     assert train2.graph.tasks == train.graph.tasks
     assert (train2.h, train2.t) == (train.h, train.t)
@@ -288,10 +289,26 @@ def test_dataset_round_trip(tmp_path):
     assert truth2.tasks == truth.tasks
 
 
+def test_write_dataset_refuses_tasks_that_miss_their_header(tmp_path):
+    """Each streamed task must be the road, and have the rows, that
+    tasks.json and the values.npy headers were written for."""
+    train, test, _ = generate(SynthConfig(T=3, p=8, k=2, n_per_task=20,
+                                          noise_sigma=0.5, graph_kind="path", seed=1))
+    graph, h, t, rows, _ = in_memory(train, test)
+    swapped = [(train.tasks[1], test.tasks[1]), (train.tasks[0], test.tasks[0]), (train.tasks[2], test.tasks[2])]
+    with pytest.raises(InputError, match="train task 'r01': expected road 'r00'"):
+        write_dataset(tmp_path / "swapped", graph, h, t, rows, swapped)
+    short = dict(rows, test=[3, 4, 4])
+    with pytest.raises(InputError, match="test task 'r00': expected road 'r00' with 3 rows of p=8"):
+        write_dataset(tmp_path / "short", graph, h, t, short, zip(train.tasks, test.tasks))
+    for root in (tmp_path / "swapped", tmp_path / "short"):
+        assert not (root / "tasks.json").exists()
+
+
 def test_read_split_matches_read_dataset_and_reads_one_split(tmp_path):
     train, test, _ = generate(SynthConfig(T=3, p=8, k=2, n_per_task=20,
                                           noise_sigma=0.5, graph_kind="path", seed=1))
-    root = write_dataset(tmp_path / "ds", train, test)
+    root = write_dataset(tmp_path / "ds", *in_memory(train, test))
     pair = read_dataset(root)
     for split, whole in zip(("train", "test"), pair):
         part = read_split(root, split)
@@ -315,7 +332,7 @@ def test_read_split_matches_read_dataset_and_reads_one_split(tmp_path):
 def small_dataset(root, seed=1):
     train, test, _ = generate(SynthConfig(T=3, p=8, k=2, n_per_task=20,
                                           noise_sigma=0.5, graph_kind="path", seed=seed))
-    return write_dataset(root, train, test)
+    return write_dataset(root, *in_memory(train, test))
 
 
 def assembled_dataset(root):
@@ -356,7 +373,7 @@ def run_dataset_commands(ds, out):
 def test_values_npy_is_each_task_x_then_y_as_np_save_writes_it(tmp_path):
     train, test, _ = generate(SynthConfig(T=3, p=8, k=2, n_per_task=20,
                                           noise_sigma=0.5, graph_kind="path", seed=1))
-    root = write_dataset(tmp_path / "ds", train, test)
+    root = write_dataset(tmp_path / "ds", *in_memory(train, test))
     assert sorted(root.rglob("*.npy")) == [root / "test" / "values.npy", root / "train" / "values.npy"]
     meta = json.loads((root / "tasks.json").read_text(encoding="utf-8"))
     assert sorted(meta) == ["h", "rows", "t", "tasks"]
@@ -443,6 +460,24 @@ def test_rewriting_a_dataset_replaces_its_caches(tmp_path):
         for a, b in zip(got.tasks, want.tasks):
             np.testing.assert_array_equal(a.X, b.X)
             np.testing.assert_array_equal(a.Y, b.Y)
+
+
+def test_rewriting_an_earlier_versions_dataset_deletes_its_parse_caches(tmp_path):
+    """Writing over a directory an earlier version wrote deletes its
+    `cache.<64 hex digits>.npy` files and nothing else."""
+    root = as_earlier_version(small_dataset(tmp_path / "ds", seed=1))
+    kept = ["cache.npy", f"cache.{'0' * 63}.npy", f"cache.{'A' * 64}.npy", f"cache.{'0' * 64}.npy.bak",
+            f"xcache.{'0' * 64}.npy", f"cache.{'g' * 64}.npy"]
+    for name in kept:
+        (root / "train" / name).write_bytes(b"")
+    (root / "test" / f"cache.{'0123456789abcdef' * 4}.npy").write_bytes(b"")
+    assert len(list(root.rglob("*cache.*"))) == len(kept) + 3
+    small_dataset(root, seed=2)
+    assert sorted(f.name for f in root.rglob("*cache.*")) == sorted(kept)
+    assert sorted(root.rglob("*.npy")) == sorted(
+        [root / "test" / "values.npy", root / "train" / "values.npy"]
+        + [root / "train" / name for name in kept if name.endswith(".npy")])
+    read_dataset(root)
 
 
 def test_dataset_reader_errors(tmp_path):
