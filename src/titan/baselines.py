@@ -94,7 +94,7 @@ def _fista(gs: GramStats, lam, prox, penalty):
     step = 1.0 / gs.lipschitz if gs.lipschitz > 0 else 1.0
 
     def grad(W):
-        return 2.0 * (gs.fit(W.T) - gs.B).T
+        return gs.grad(W.T).T
 
     def objective(W):
         return gs.loss(W.T) + lam * penalty(W)

@@ -111,6 +111,10 @@ class GramStats:
         """S[r] V[r] for per-task weights V stacked (T, p), stacked (T, p)."""
         return np.matmul(self.S, V[:, :, None])[:, :, 0]
 
+    def grad(self, V):
+        """Gradient of loss at V, 2 (S[r] V[r] - B[r]) stacked (T, p)."""
+        return 2.0 * (self.fit(V) - self.B)
+
     def loss(self, V):
         """sum_r ||X_r V[r] - Y_r||^2 / n_r for weights V stacked (T, p)."""
         return float(self.c.sum() + (V * (self.fit(V) - 2.0 * self.B)).sum())

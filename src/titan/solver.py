@@ -234,7 +234,7 @@ def sweep_W(data: MultiTaskDataset, state: SolverState, hp: Hyperparams):
 def grad_Q(data: MultiTaskDataset, state: SolverState, hp: Hyperparams):
     """Gradient of the smooth Lagrangian with respect to Q."""
     Q, W = state.Q, state.W
-    g = 2.0 * ((data.gram.fit((Q @ W).T) - data.gram.B).T @ W.T)
+    g = data.gram.grad((Q @ W).T).T @ W.T
     return g + state.Lambda2 + hp.rho * (Q - state.U_Q)
 
 
@@ -251,12 +251,13 @@ def retract(Q):
     rows = np.arange(p)
     best = Q.argmax(axis=1)
     top = Q[rows, best]
-    kept = top > 0
     R = np.zeros((p, k))
-    R[rows, best] = np.where(kept, top, 0.0)
-    empty = ~R.any(axis=0)
+    R[rows, best] = np.where(top > 0, top, 0.0)
+    R2 = R * R
+    sq = R2.sum(axis=0)  # np.linalg.norm(R, axis=0) squared, summed the same way
+    empty = ~(sq > 0)  # also a column whose rows' squares all underflow to 0
     if empty.any():  # rare: most steps leave every column a row
-        owner = np.where(kept, best, -1)
+        owner = np.where(R2[rows, best] > 0, best, -1)
         for c in np.flatnonzero(empty):
             counts = np.bincount(owner[owner >= 0], minlength=k)
             free = np.flatnonzero((owner < 0) | (counts[owner] > 1))
@@ -264,7 +265,8 @@ def retract(Q):
             R[i] = 0.0
             R[i, c] = 1.0
             owner[i] = c
-    return R / np.sqrt((R * R).sum(axis=0))  # np.linalg.norm(R, axis=0), summed the same way
+        sq = (R * R).sum(axis=0)
+    return R / np.sqrt(sq)
 
 
 def update_Q(data: MultiTaskDataset, state: SolverState, g, hp: Hyperparams):
@@ -439,8 +441,9 @@ def fit(data: MultiTaskDataset, hp: Hyperparams, q0=None) -> TrainedModel:
     Stops early once both residuals fall below their tolerances after a
     Q step that moved: an iteration whose Q step stalled never counts as
     converged, since its residuals only show that nothing moved, and
-    MAX_STALLED_RUN stalled Q steps in a row end the fit unconverged. Any
-    non-finite value aborts with a diagnostic naming the variable.
+    MAX_STALLED_RUN stalled Q steps in a row end the fit unconverged. A
+    non-finite value, float overflow, invalid operation or division by
+    zero raises NumericalAbort naming the variable or the iteration.
     """
     if hp.k > data.p:
         raise InputError(f"group count k={hp.k} exceeds feature dimension p={data.p}")
@@ -449,22 +452,26 @@ def fit(data: MultiTaskDataset, hp: Hyperparams, q0=None) -> TrainedModel:
     converged = False
     stalled_run = 0
     history = []  # (primal, dual) residuals, one pair per iteration
-    for it in range(1, hp.max_iter + 1):
-        sweep_W(data, state, hp)
-        g = grad_Q(data, state, hp)
-        state.Q, stalled = update_Q(data, state, g, hp)
-        stalled_run = stalled_run + 1 if stalled else 0
-        prev = copy.copy(state)  # shallow: the updates below rebind, never mutate
-        state.U_W, state.U_Q = update_duals(state, hp)
-        state.Lambda1, state.Lambda2 = update_multipliers(state, hp)
-        p_res, d_res = residuals(prev, state, hp)
-        history.append((p_res, d_res))
-        check_finite(state, it)
-        if not stalled and p_res < hp.eps_primal and d_res < hp.eps_dual:
-            converged = True
-            break
-        if stalled_run == MAX_STALLED_RUN:
-            break
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for it in range(1, hp.max_iter + 1):
+                sweep_W(data, state, hp)
+                g = grad_Q(data, state, hp)
+                state.Q, stalled = update_Q(data, state, g, hp)
+                stalled_run = stalled_run + 1 if stalled else 0
+                prev = copy.copy(state)  # shallow: the updates below rebind, never mutate
+                state.U_W, state.U_Q = update_duals(state, hp)
+                state.Lambda1, state.Lambda2 = update_multipliers(state, hp)
+                p_res, d_res = residuals(prev, state, hp)
+                history.append((p_res, d_res))
+                check_finite(state, it)
+                if not stalled and p_res < hp.eps_primal and d_res < hp.eps_dual:
+                    converged = True
+                    break
+                if stalled_run == MAX_STALLED_RUN:
+                    break
+    except FloatingPointError as exc:
+        raise NumericalAbort(f"{exc} at iteration {len(history) + 1}") from None
 
     return TrainedModel(
         Q=state.Q.copy(),
@@ -486,4 +493,8 @@ def predict(model, X, task):
         raise InputError(f"unknown task {task!r}; model covers {list(model.tasks)}")
     if X.ndim != 2 or X.shape[1] != model.p:
         raise InputError(f"X must have {model.p} columns, got shape {X.shape}")
-    return X @ model.coef(model.tasks.index(task))
+    with np.errstate(over="ignore", invalid="ignore"):
+        yhat = X @ model.coef(model.tasks.index(task))
+    if not np.all(np.isfinite(yhat)):
+        raise NumericalAbort(f"non-finite prediction for task {task!r}")
+    return yhat

@@ -9,19 +9,15 @@ sizes `h` and `t` (so p = h + t), and each split's per-task row counts,
 The values of a split are one file, `<split>/values.npy`: a float64
 vector in np.save's v1.0 format holding each task's X (row-major, n_r x
 p) then its Y (n_r values), in task order. read_split builds the split
-from tasks.json, graph.edges and that file. A missing or malformed values.npy,
-or rows that do not describe it, raises InputError naming the file;
-there is no fallback.
+from tasks.json, graph.edges and that file. A tasks.json without
+one of its four keys, a missing or malformed values.npy, or rows that do
+not describe it raises InputError naming the file; there is no fallback.
 
 Beside it, write_dataset writes each task's `X_<road>.csv` and
 `Y_<road>.csv` with %.17g (encoded in numpy blocks, see csvfmt), which
 round-trips doubles exactly. They are a text view of the same values
-that titan never reads back, so editing one changes nothing. A
-tasks.json without `rows` was written by an earlier version, with no
-values.npy: its split CSVs are parsed by read_matrix_csv, ~0.3 s for the
-train split of a 24-road, 500-row dataset on a 2-core machine (~1.5 ms
-from values.npy). Its `<split>/cache.<64 hex digits>.npy` parse caches
-are never read, and writing over the directory deletes them.
+that titan never reads back, so editing one changes nothing.
+read_matrix_csv reads the one CSV input a command takes, `predict --x`.
 """
 
 from __future__ import annotations
@@ -44,9 +40,6 @@ from .synth import GroundTruth, SynthConfig
 
 SPLITS = ("train", "test")
 VALUES_NAME = "values.npy"
-# Hyperparameters that model files written by earlier versions still hold;
-# neither ever changed a fit, so read_model drops them.
-RETIRED_HYPERPARAMS = ("seed", "inner_w_solve")
 
 
 def _fmt_matrix(M):
@@ -75,9 +68,10 @@ def write_matrix_csv(path, M):
         fh.writelines(csvfmt.csv_chunks(np.atleast_2d(np.asarray(M, dtype=float))))
 
 
-def read_matrix_csv(path, columns=None):
+def read_matrix_csv(path):
     """Parse a numeric CSV line by line with float(): blank and `#` lines
-    are skipped, and errors name the line."""
+    are skipped, a nan or inf cell is rejected, and errors name the
+    line."""
     rows = []
     for lineno, raw in enumerate(read_input_text(path).splitlines(), start=1):
         line = raw.strip()
@@ -87,15 +81,14 @@ def read_matrix_csv(path, columns=None):
             row = [float(cell) for cell in line.split(",")]
         except ValueError:
             raise InputError(f"{path}:{lineno}: bad numeric cell") from None
+        if not all(map(math.isfinite, row)):
+            raise InputError(f"{path}:{lineno}: non-finite cell")
         if rows and len(row) != len(rows[0]):
             raise InputError(f"{path}:{lineno}: ragged row ({len(row)} cells, expected {len(rows[0])})")
         rows.append(row)
     if not rows:
         raise InputError(f"{path}: no data rows")
-    M = np.asarray(rows)
-    if columns is not None and M.shape[1] != columns:
-        raise InputError(f"{path}: expected {columns} columns, got {M.shape[1]}")
-    return M
+    return np.asarray(rows)
 
 
 def _load_vector(path, size):
@@ -125,24 +118,6 @@ def _split_values(path, counts, p):
         pairs.append((flat[start:start + n * p].reshape(n, p), flat[start + n * p:start + n * (p + 1)]))
         start += n * (p + 1)
     return pairs
-
-
-def _is_stale_cache(name):
-    """`cache.` + 64 lowercase hex digits + `.npy`: an earlier version's
-    parse cache."""
-    digest = name[len("cache."):-len(".npy")]
-    return (name.startswith("cache.") and name.endswith(".npy") and len(digest) == 64
-            and all(c in "0123456789abcdef" for c in digest))
-
-
-def _clear_split(sub):
-    """Create the split directory `sub`, deleting any stale parse cache in
-    it; returns `sub`."""
-    sub.mkdir(exist_ok=True)
-    for old in sub.iterdir():
-        if _is_stale_cache(old.name):
-            old.unlink()
-    return sub
 
 
 def _write_task(sub, road, td: TaskDataset, shape, values):
@@ -178,7 +153,8 @@ def write_dataset(root, graph: TaskGraph, h, t, rows, tasks, truth: GroundTruth 
     with contextlib.ExitStack() as stack:
         values = []
         for split in SPLITS:  # np.save's format, its values appended a matrix at a time
-            fh = stack.enter_context(open(_clear_split(root / split) / VALUES_NAME, "wb"))
+            (root / split).mkdir(exist_ok=True)
+            fh = stack.enter_context(open(root / split / VALUES_NAME, "wb"))
             fmt.write_array_header_1_0(fh, {"descr": fmt.dtype_to_descr(np.dtype(np.float64)),
                                             "fortran_order": False, "shape": (sum(rows[split]) * (p + 1),)})
             values.append(fh)
@@ -215,14 +191,13 @@ def _row_counts(rows, n_tasks):
 
 
 def read_task_graph(root):
-    """tasks.json and graph.edges: (graph, h, t, rows), rows None for a
-    dataset written by an earlier version (see the module docstring)."""
+    """tasks.json and graph.edges: (graph, h, t, rows)."""
     root = Path(root)
     meta_path = root / "tasks.json"
     meta = _load_json(meta_path)
     if not isinstance(meta, dict):
         raise InputError(f"{meta_path}: must hold a JSON object")
-    for key in ("tasks", "h", "t"):
+    for key in ("tasks", "h", "t", "rows"):
         if key not in meta:
             raise InputError(f"{meta_path}: missing key {key!r}")
     if not isinstance(meta["tasks"], list) or not meta["tasks"]:
@@ -236,13 +211,11 @@ def read_task_graph(root):
         h, t = _positive_int(meta["h"]), _positive_int(meta["t"])
     except ValueError:
         raise InputError(f"{meta_path}: 'h' and 't' must be integers >= 1") from None
-    rows = None
-    if "rows" in meta:
-        try:
-            rows = _row_counts(meta["rows"], len(meta["tasks"]))
-        except ValueError:
-            raise InputError(f"{meta_path}: 'rows' must map 'train' and 'test' to one integer >= 1 "
-                             "per task") from None
+    try:
+        rows = _row_counts(meta["rows"], len(meta["tasks"]))
+    except ValueError:
+        raise InputError(f"{meta_path}: 'rows' must map 'train' and 'test' to one integer >= 1 "
+                         "per task") from None
     edge_path = root / "graph.edges"
     roads, edges = set(meta["tasks"]), []
     for lineno, raw in enumerate(read_input_text(edge_path).splitlines(), start=1):
@@ -269,15 +242,8 @@ def read_split(root, split):
     MultiTaskDataset; the other split's files are not read."""
     if split not in SPLITS:
         raise InputError(f"split must be one of {SPLITS}, got {split!r}")
-    sub = Path(root) / split
     graph, h, t, rows = read_task_graph(root)
-    p = h + t
-    if rows is None:  # an earlier version's dataset: parse its CSVs
-        pairs = ((read_matrix_csv(sub / f"X_{road}.csv", columns=p),
-                  read_matrix_csv(sub / f"Y_{road}.csv", columns=1)[:, 0])
-                 for road in graph.tasks)
-    else:
-        pairs = _split_values(sub / VALUES_NAME, rows[split], p)
+    pairs = _split_values(Path(root) / split / VALUES_NAME, rows[split], h + t)
     tasks = tuple(TaskDataset(road, X, Y) for road, (X, Y) in zip(graph.tasks, pairs))
     return MultiTaskDataset(tasks, graph, h, t)
 
@@ -395,14 +361,11 @@ def read_model(path):
     W = _model_value(path, obj, "W", _finite_matrix)
     if Q.shape != (p, k) or W.shape != (k, len(tasks)):
         raise InputError(f"{path}: matrix shapes inconsistent with declared p/k/tasks")
-    if not isinstance(obj["hyperparams"], dict):
-        raise InputError(f"{path}: bad value for 'hyperparams'")
-    stored = {key: v for key, v in obj["hyperparams"].items() if key not in RETIRED_HYPERPARAMS}
     model = TrainedModel(
         Q=Q,
         W=W,
         tasks=tasks,
-        hyperparams=Hyperparams.from_dict(stored),
+        hyperparams=_model_value(path, obj, "hyperparams", Hyperparams.from_dict),
         converged=_model_value(path, obj, "converged", _bool),
         iterations=_model_value(path, obj, "iterations", _positive_int),
         final_residuals=_model_value(

@@ -16,7 +16,7 @@ overhead, same bits), and the report CSV reader (the CLI only writes
 reports).
 """
 
-import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -258,8 +258,9 @@ def cell_write_matrix_csv(path, M):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def line_read_matrix_csv(path, columns=None):
-    """float() per cell; blank and '#' lines skipped; errors name the line."""
+def line_read_matrix_csv(path):
+    """float() per cell; blank and '#' lines skipped; nan and inf cells
+    rejected; errors name the line."""
     rows = []
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -270,15 +271,14 @@ def line_read_matrix_csv(path, columns=None):
             row = [float(cell) for cell in line.split(",")]
         except ValueError:
             raise InputError(f"{path}:{lineno}: bad numeric cell") from None
+        if any(math.isnan(v) or math.isinf(v) for v in row):
+            raise InputError(f"{path}:{lineno}: non-finite cell")
         if rows and len(row) != len(rows[0]):
             raise InputError(f"{path}:{lineno}: ragged row ({len(row)} cells, expected {len(rows[0])})")
         rows.append(row)
     if not rows:
         raise InputError(f"{path}: no data rows")
-    M = np.asarray(rows)
-    if columns is not None and M.shape[1] != columns:
-        raise InputError(f"{path}: expected {columns} columns, got {M.shape[1]}")
-    return M
+    return np.asarray(rows)
 
 
 # ------------------------------------------------------------- report reader
@@ -309,20 +309,6 @@ def parse_report_csv(text, source="<report>"):
 
 
 # --------------------------------------------------------- instance builders
-
-
-def as_earlier_version(root):
-    """Turn a dataset directory into what earlier versions wrote: tasks.json
-    with `p` and without `rows`, and each split's values.npy under the name
-    of a parse cache, `cache.<64 hex digits>.npy`, which is never read."""
-    meta_path = Path(root) / "tasks.json"
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    del meta["rows"]
-    meta["p"] = meta["h"] + meta["t"]
-    meta_path.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
-    for split in ("train", "test"):
-        (Path(root) / split / "values.npy").rename(Path(root) / split / f"cache.{'0' * 64}.npy")
-    return root
 
 
 def random_dataset(rng, T, p, n_range=(5, 12), edge_prob=0.5):

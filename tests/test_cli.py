@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import as_earlier_version, cell_write_matrix_csv, parse_report_csv
+from helpers import cell_write_matrix_csv, parse_report_csv
 
 import titan
 from titan import evaluation
@@ -233,22 +233,6 @@ def test_train_orthogonality_off_by_config(small_ds, tmp_path):
     assert read_model(out).hyperparams.orthogonality is False
 
 
-def test_train_corrupt_csv_exits_2(small_ds, tmp_path, capsys):
-    """A dataset written by an earlier version is parsed from its CSVs."""
-    _, _, ds = small_ds
-    broken = tmp_path / "broken"
-    shutil.copytree(ds, broken)
-    as_earlier_version(broken)
-    target = broken / "train" / "X_r00.csv"
-    lines = target.read_text(encoding="utf-8").splitlines()
-    lines[1] = lines[1].replace(",", ",oops,", 1)
-    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    rc = main(["train", "--dataset", str(broken), "--out", str(tmp_path / "m.json")])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert "X_r00.csv:2" in captured.err
-
-
 def test_train_singular_w_system_exits_3(small_ds, tmp_path, capsys, monkeypatch):
     _, _, ds = small_ds
 
@@ -290,11 +274,11 @@ def test_predict_matches_library(small_ds, trained, tmp_path):
     out = tmp_path / "pred.csv"
     assert main(["predict", "--model", str(model_path), "--x", str(x_path),
                  "--task", td.road_id, "--out", str(out)]) == 0
-    got = read_matrix_csv(out, columns=1)[:, 0]
+    got = read_matrix_csv(out)
     model = read_model(model_path)
     want = predict(model, read_matrix_csv(x_path), td.road_id)
-    assert got.shape == (5,)
-    np.testing.assert_array_equal(got, want)
+    assert got.shape == (5, 1)
+    np.testing.assert_array_equal(got[:, 0], want)
 
 
 def test_predict_unknown_task_exits_2(small_ds, trained, tmp_path, capsys):
@@ -323,7 +307,7 @@ def test_predict_with_baseline_model(small_ds, tmp_path):
     X = read_matrix_csv(x_path)
     cell_write_matrix_csv(want, (X @ read_model(model_path).weights[:, 1])[:, None])
     assert out.read_bytes() == want.read_bytes()
-    assert read_matrix_csv(out, columns=1).shape == (3, 1)
+    assert read_matrix_csv(out).shape == (3, 1)
 
 
 @pytest.mark.parametrize("lam", ["inf", "-inf", "nan"])
@@ -488,26 +472,23 @@ def test_train_bad_hyperparameter_types_exit_2(small_ds, tmp_path, bad):
     assert not (tmp_path / "m.json").exists()
 
 
-def test_model_with_retired_hyperparams_runs_every_model_command(small_ds, trained, tmp_path):
-    """A model file written before seed and inner_w_solve were removed."""
+def test_model_with_retired_hyperparams_exits_2_naming_the_file(small_ds, trained, tmp_path):
+    """A model file that still holds the retired seed or inner_w_solve."""
     _, _, ds = small_ds
     _, model = trained
-    obj = json.loads(model.read_text(encoding="utf-8"))
-    obj["hyperparams"].update(seed=0, inner_w_solve="gradient")
-    old = tmp_path / "old.json"
-    old.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
-    x_path = ds / "test" / "X_r00.csv"
-    outputs = {}
-    for tag, path in (("new", model), ("old", old)):
-        for command, extra in (("evaluate", ["--dataset", str(ds)]),
-                               ("predict", ["--x", str(x_path), "--task", "r00"]),
+    for retired in ({"seed": 0}, {"inner_w_solve": "gradient"}):
+        obj = json.loads(model.read_text(encoding="utf-8"))
+        obj["hyperparams"].update(retired)
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+        for command, extra in (("evaluate", ["--dataset", ds]),
+                               ("predict", ["--x", ds / "test" / "X_r00.csv", "--task", "r00"]),
                                ("report-groups", [])):
-            out = tmp_path / f"{tag}-{command}.out"
-            argv = [command, "--model", str(path), *extra, "--out", str(out)]
-            assert main(argv) == 0
-            outputs[tag, command] = out.read_bytes()
-    for command in ("evaluate", "predict", "report-groups"):
-        assert outputs["old", command] == outputs["new", command]
+            out = tmp_path / f"{command}.out"
+            proc = run_python("-m", "titan", command, "--model", old, *extra, "--out", out)
+            assert proc.returncode == 2, (retired, command, proc.stderr)
+            assert proc.stderr == f"error: {old}: bad value for 'hyperparams'\n", (retired, command)
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("config", ['{"seed": 1}', '{"inner_w_solve": "exact"}'])

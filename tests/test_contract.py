@@ -14,7 +14,7 @@ import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from titan import baselines, solver, storage
@@ -106,6 +106,9 @@ SYNTH_CONFIGS = st.dictionaries(
 
 @settings(max_examples=60, deadline=None)
 @given(text=json_texts(HYPERPARAMS), command=st.sampled_from(["train", "sweep-k"]))
+# huge lambda_q and rho: a Q step leaves retract columns of subnormals
+@example(text='{"lambda_q": 1e300, "rho": 1e300, "max_iter": 3, "k": 2}', command="train")
+@example(text='{"lambda_q": 1e300, "rho": 1e300, "max_iter": 3}', command="train")
 def test_hyperparameter_configs_keep_the_exit_contract(world, text, command):
     root, ds = world
     cfg = root / "fuzz-hp.json"
@@ -190,8 +193,8 @@ def test_assemble_edge_lists_keep_the_exit_contract(world, lines):
 
 
 KEEP = object()
-# tasks.json's `rows`: the dataset's own, absent (an earlier version's
-# dataset), junk, or objects of junk and of counts that miss the values.
+# tasks.json's `rows`: the dataset's own, absent (exit 2, a missing key),
+# junk, or objects of junk and of counts that miss the values.
 ROWS = st.one_of(
     st.sampled_from([KEEP, DELETE]),
     st.sampled_from(JSON_JUNK),
@@ -232,6 +235,12 @@ def edit_tasks_json(ds, **fields):
     write_json(ds / "tasks.json", {**meta, **fields})
 
 
+def drop_rows(ds):
+    meta = json.loads((ds / "tasks.json").read_text(encoding="utf-8"))
+    del meta["rows"]
+    write_json(ds / "tasks.json", meta)
+
+
 def repeat_a_road(ds):
     meta = json.loads((ds / "tasks.json").read_text(encoding="utf-8"))
     edit_tasks_json(ds, tasks=meta["tasks"] + ["r01"],
@@ -247,6 +256,7 @@ DATASET_FAULTS = {
     "three fields": (lambda ds: (ds / "graph.edges").write_text("r00 r01 r02\n", encoding="utf-8"),
                      "graph.edges:1", "expected 2 fields, got 3"),
     "repeated road": (repeat_a_road, "tasks.json", "duplicate road id in task list"),
+    "no rows": (drop_rows, "tasks.json", "missing key 'rows'"),
     "bool count": (lambda ds: edit_tasks_json(ds, rows={"train": [14, True, 14], "test": [6, 6, 6]}),
                    "tasks.json", "'rows' must map 'train' and 'test' to one integer >= 1 per task"),
     "extra split": (lambda ds: edit_tasks_json(ds, rows={"train": [14] * 3, "test": [6] * 3, "dev": []}),
@@ -390,6 +400,51 @@ def test_non_finite_duration_exits_2_naming_the_line(world):
     assert code == 2, (code, err)
     assert err.startswith(f"error: {incidents}:5: ") and "Traceback" not in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e309"])
+def test_non_finite_predict_cell_exits_2_naming_the_line(world, cell):
+    root, ds = world
+    x = root / f"x-{cell}.csv"
+    x.write_text(f"# two rows\n1,2,3,4,5,6\n1,2,3,{cell},5,6\n", encoding="utf-8")
+    out = root / f"pred-{cell}.csv"
+    for model in ("titan.json", "ridge.json"):
+        code, err, stdout = run_cli_streams(["predict", "--model", root / model, "--x", x, "--task", "r00",
+                                             "--out", out])
+        assert code == 2, (model, code, err)
+        assert err == f"error: {x}:3: non-finite cell\n" and stdout == "", (model, err)
+        assert not out.exists()
+
+
+def test_overflowing_prediction_exits_3(world):
+    """Finite cells of 1e308, signed as the task's weights, whose
+    prediction is past the largest double."""
+    root, ds = world
+    x = root / "x-huge.csv"
+    out = root / "pred-huge.csv"
+    for model in ("titan.json", "ridge.json"):
+        coef = storage.read_model(root / model).coef(0)
+        assert np.abs(coef).sum() > 2
+        x.write_text(",".join("1e308" if c > 0 else "-1e308" for c in coef) + "\n", encoding="utf-8")
+        code, err, stdout = run_cli_streams(["predict", "--model", root / model, "--x", x, "--task", "r00",
+                                             "--out", out])
+        assert code == 3, (model, code, err)
+        assert err == "numerical failure: non-finite prediction for task 'r00'\n" and stdout == "", (model, err)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep-k"])
+def test_float_overflow_in_a_fit_exits_3_naming_the_iteration(world, command):
+    """A first Q step of 1e300 overflows in iteration 1."""
+    root, ds = world
+    hp = write_json(root / "huge-alpha.json", {"alpha": 1e300, "k": 2, "max_iter": 3})
+    out = root / f"huge-alpha-{command}"
+    extra = ["--k", "2"] if command == "sweep-k" else []
+    code, err, stdout = run_cli_streams([command, "--dataset", ds, "--config", hp, "--out", out, *extra])
+    assert code == 3, (code, err)
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+    assert err.endswith("overflow encountered in multiply at iteration 1\n"), err
+    assert stdout == "" and not out.exists()
 
 
 # Every command that writes a file, its output path left for the caller to append.

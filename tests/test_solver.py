@@ -520,6 +520,16 @@ def test_retract_fills_empty_columns_and_fixes_feasible_points():
     np.testing.assert_allclose(retract(F), F, rtol=0, atol=1e-15)
 
 
+def test_retract_counts_no_row_whose_square_underflows():
+    # column 1's only row squares to 0, so the column is empty; filling it
+    # must take row 2, not row 0, which would leave column 0 the same way
+    Q = np.array([[1.0, 0.5], [1e-200, 1e-201], [0.0, 1e-200]])
+    with np.errstate(divide="raise", invalid="raise"):
+        R = retract(Q)
+    assert_feasible(R)
+    np.testing.assert_array_equal(R > 0, [[1, 0], [1, 0], [0, 1]])
+
+
 def test_update_q_never_increases_smooth_lagrangian():
     rng = np.random.default_rng(16)
     for _ in range(10):

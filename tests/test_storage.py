@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import as_earlier_version, cell_write_matrix_csv, line_read_matrix_csv, random_dataset
+from helpers import cell_write_matrix_csv, line_read_matrix_csv, random_dataset
 
 from titan import storage
 from titan.baselines import BaselineModel
@@ -50,7 +50,7 @@ def test_matrix_csv_round_trip_exact(tmp_path):
 def test_matrix_csv_vector_written_as_column(tmp_path):
     path = tmp_path / "v.csv"
     write_matrix_csv(path, np.array([1.0, 2.0, 3.0])[:, None])
-    got = read_matrix_csv(path, columns=1)
+    got = read_matrix_csv(path)
     np.testing.assert_array_equal(got, [[1.0], [2.0], [3.0]])
 
 
@@ -76,10 +76,11 @@ def test_matrix_csv_errors(tmp_path):
     empty.write_text("# only a comment\n", encoding="utf-8")
     with pytest.raises(InputError, match="no data rows"):
         read_matrix_csv(empty)
-    cols = tmp_path / "cols.csv"
-    cols.write_text("1,2,3\n", encoding="utf-8")
-    with pytest.raises(InputError, match="expected 2 columns, got 3"):
-        read_matrix_csv(cols, columns=2)
+    for cell in ("nan", "-inf", "1e309"):
+        non_finite = tmp_path / "non_finite.csv"
+        non_finite.write_text(f"1,2\n# note\n3,{cell}\n", encoding="utf-8")
+        with pytest.raises(InputError, match=r"non_finite\.csv:3: non-finite cell"):
+            read_matrix_csv(non_finite)
 
 
 def test_matrix_csv_unreadable_text_exits_as_input_error(tmp_path):
@@ -115,9 +116,9 @@ def test_matrix_csv_writer_bytes_match_per_cell_reference(tmp_path_factory, M):
     assert (root / "bulk.csv").read_bytes() == (root / "cell.csv").read_bytes()
 
 
-def _read_outcome(reader, path, columns):
+def _read_outcome(reader, path):
     try:
-        M = reader(path, columns=columns)
+        M = reader(path)
     except InputError as exc:
         return "error", str(exc)
     return M.dtype, M.shape, M.tobytes()
@@ -141,11 +142,11 @@ CSV_TEXT = st.one_of(
 
 
 @settings(max_examples=600, deadline=None)
-@given(text=CSV_TEXT, columns=st.sampled_from([None, 1, 2]))
-def test_matrix_csv_reader_matches_per_line_reference(tmp_path_factory, text, columns):
+@given(text=CSV_TEXT)
+def test_matrix_csv_reader_matches_per_line_reference(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    assert _read_outcome(read_matrix_csv, path, columns) == _read_outcome(line_read_matrix_csv, path, columns)
+    assert _read_outcome(read_matrix_csv, path) == _read_outcome(line_read_matrix_csv, path)
 
 
 @pytest.mark.parametrize("text", [
@@ -171,7 +172,7 @@ def test_matrix_csv_reader_matches_per_line_reference(tmp_path_factory, text, co
 def test_matrix_csv_reader_named_cases_match_reference(tmp_path, text):
     path = tmp_path / "m.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    assert _read_outcome(read_matrix_csv, path, None) == _read_outcome(line_read_matrix_csv, path, None)
+    assert _read_outcome(read_matrix_csv, path) == _read_outcome(line_read_matrix_csv, path)
 
 
 def test_matrix_csv_reader_keeps_trailing_comment_rejected(tmp_path):
@@ -388,11 +389,11 @@ def test_values_npy_is_each_task_x_then_y_as_np_save_writes_it(tmp_path):
 
 
 def test_cache_hit_equals_parse_with_its_dtype_and_layout(tmp_path, monkeypatch):
-    """Reading values.npy gives the arrays the CSV parse gives."""
+    """Reading values.npy gives the arrays parsing the split CSVs gives."""
     root = small_dataset(tmp_path / "ds")
     assembled = assembled_dataset(tmp_path)
 
-    def no_parse(path, columns=None):
+    def no_parse(path):
         raise AssertionError(f"parsed {path}")
 
     with monkeypatch.context() as m:
@@ -402,25 +403,16 @@ def test_cache_hit_equals_parse_with_its_dtype_and_layout(tmp_path, monkeypatch)
         # reads values.npy, never a CSV
         for ds in (root, assembled):
             run_dataset_commands(ds, tmp_path / f"out-{ds.name}")
-    parsed = read_dataset(as_earlier_version(root))
-    for a, b in zip([td for ds in binary for td in ds.tasks], [td for ds in parsed for td in ds.tasks]):
-        for got, want in ((a.X, b.X), (a.Y, b.Y)):
-            assert np.array_equal(got, want)
-            assert got.dtype == want.dtype == np.float64
-            assert got.flags.c_contiguous and want.flags.c_contiguous
-            assert got.strides == want.strides
-
-
-def test_commands_write_the_same_bytes_without_caches(tmp_path):
-    """A dataset without values.npy, as earlier versions wrote it, is
-    parsed and gives the same outputs."""
-    current = small_dataset(tmp_path / "current")
-    older = tmp_path / "older"
-    shutil.copytree(current, older)
-    as_earlier_version(older)
-    want = run_dataset_commands(current, tmp_path / "out-current")
-    assert run_dataset_commands(older, tmp_path / "out-older") == want
-    assert not list(older.rglob("values.npy"))  # reading never writes one
+    for split, ds in zip(("train", "test"), binary):
+        for td in ds.tasks:
+            X = read_matrix_csv(root / split / f"X_{td.road_id}.csv")
+            Y = read_matrix_csv(root / split / f"Y_{td.road_id}.csv")
+            assert Y.shape == (td.n, 1)
+            for got, want in ((td.X, X), (td.Y, Y[:, 0])):
+                assert np.array_equal(got, want)
+                assert got.dtype == want.dtype == np.float64
+                assert got.flags.c_contiguous and want.flags.c_contiguous
+                assert got.strides == want.strides
 
 
 def test_commands_write_the_same_bytes_without_split_csvs(tmp_path):
@@ -462,24 +454,6 @@ def test_rewriting_a_dataset_replaces_its_caches(tmp_path):
             np.testing.assert_array_equal(a.Y, b.Y)
 
 
-def test_rewriting_an_earlier_versions_dataset_deletes_its_parse_caches(tmp_path):
-    """Writing over a directory an earlier version wrote deletes its
-    `cache.<64 hex digits>.npy` files and nothing else."""
-    root = as_earlier_version(small_dataset(tmp_path / "ds", seed=1))
-    kept = ["cache.npy", f"cache.{'0' * 63}.npy", f"cache.{'A' * 64}.npy", f"cache.{'0' * 64}.npy.bak",
-            f"xcache.{'0' * 64}.npy", f"cache.{'g' * 64}.npy"]
-    for name in kept:
-        (root / "train" / name).write_bytes(b"")
-    (root / "test" / f"cache.{'0123456789abcdef' * 4}.npy").write_bytes(b"")
-    assert len(list(root.rglob("*cache.*"))) == len(kept) + 3
-    small_dataset(root, seed=2)
-    assert sorted(f.name for f in root.rglob("*cache.*")) == sorted(kept)
-    assert sorted(root.rglob("*.npy")) == sorted(
-        [root / "test" / "values.npy", root / "train" / "values.npy"]
-        + [root / "train" / name for name in kept if name.endswith(".npy")])
-    read_dataset(root)
-
-
 def test_dataset_reader_errors(tmp_path):
     with pytest.raises(InputError, match="missing file"):
         read_task_graph(tmp_path)
@@ -487,23 +461,24 @@ def test_dataset_reader_errors(tmp_path):
     with pytest.raises(InputError, match="missing key 'h'"):
         read_task_graph(tmp_path)
     (tmp_path / "tasks.json").write_text('{"tasks": ["a", "b"], "h": 2, "t": 2}\n', encoding="utf-8")
+    with pytest.raises(InputError, match="missing key 'rows'"):
+        read_task_graph(tmp_path)
+    rows = '"rows": {"test": [1, 2], "train": [3, 4]}'
+    (tmp_path / "tasks.json").write_text(f'{{"tasks": ["a", "b"], "h": 2, "t": 2, "p": 4, {rows}}}\n',
+                                         encoding="utf-8")
     with pytest.raises(InputError, match="graph.edges"):
         read_task_graph(tmp_path)
     (tmp_path / "graph.edges").write_text("a b c\n", encoding="utf-8")
     with pytest.raises(InputError, match="expected 2 fields, got 3"):
         read_task_graph(tmp_path)
     (tmp_path / "graph.edges").write_text("# none\na b\n", encoding="utf-8")
-    graph, h, t, rows = read_task_graph(tmp_path)
-    assert graph.tasks == ("a", "b") and (h, t) == (2, 2) and rows is None
-    (tmp_path / "tasks.json").write_text(
-        '{"tasks": ["a", "b"], "h": 2, "t": 2, "p": 4, "rows": {"test": [1, 2], "train": [3, 4]}}\n',
-        encoding="utf-8")
-    assert read_task_graph(tmp_path)[3] == {"train": [3, 4], "test": [1, 2]}
+    graph, h, t, counts = read_task_graph(tmp_path)
+    assert graph.tasks == ("a", "b") and (h, t) == (2, 2) and counts == {"train": [3, 4], "test": [1, 2]}
     for meta, message in [
-        ('{"tasks": ["a", "../../evil"], "h": 2, "t": 2}', "not a plain file name"),
-        ('{"tasks": ["a", 7], "h": 2, "t": 2}', "not a plain file name"),
-        ('{"tasks": [], "h": 2, "t": 2}', "non-empty list"),
-        ('{"tasks": ["a", "b"], "h": "x", "t": 2}', "must be integers"),
+        (f'{{"tasks": ["a", "../../evil"], "h": 2, "t": 2, {rows}}}', "not a plain file name"),
+        (f'{{"tasks": ["a", 7], "h": 2, "t": 2, {rows}}}', "not a plain file name"),
+        (f'{{"tasks": [], "h": 2, "t": 2, {rows}}}', "non-empty list"),
+        (f'{{"tasks": ["a", "b"], "h": "x", "t": 2, {rows}}}', "must be integers"),
         ('["a", "b"]', "JSON object"),
         ('{"tasks": ["a", "b"], "h": 2, "t": 2, "rows": null}', "'rows' must map"),
         ('{"tasks": ["a", "b"], "h": 2, "t": 2, "rows": {"train": [3, 4]}}', "'rows' must map"),
@@ -513,7 +488,8 @@ def test_dataset_reader_errors(tmp_path):
         (tmp_path / "tasks.json").write_text(meta + "\n", encoding="utf-8")
         with pytest.raises(InputError, match=message):
             read_task_graph(tmp_path)
-    (tmp_path / "tasks.json").write_text('{"tasks": ["a", "b"], "h": 2, "t": 2}\n', encoding="utf-8")
+    (tmp_path / "tasks.json").write_text(f'{{"tasks": ["a", "b"], "h": 2, "t": 2, {rows}}}\n',
+                                         encoding="utf-8")
     with pytest.raises(InputError, match="missing file"):
         read_dataset(tmp_path)  # train/ split absent
 
