@@ -1,7 +1,6 @@
 """Exception types shared across the package, and the checks on outside
 input (config field types, input text files) that raise them."""
 
-import io
 import math
 import numbers
 from pathlib import Path
@@ -19,15 +18,22 @@ def read_input_text(path):
     """The text of a UTF-8 input file, newlines translated as in text mode;
     a missing, directory or non-UTF-8 path raises InputError."""
     try:
-        data = Path(path).read_bytes()
+        return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise InputError(f"missing file: {path}") from None
     except IsADirectoryError:
         raise InputError(f"{path}: is a directory, not a file") from None
-    try:
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError:
         raise InputError(f"{path}: not UTF-8 text") from None
+
+
+def data_lines(lines, start=1):
+    """(line number, stripped line) for each line that is neither blank
+    nor a `#` comment; the first line is numbered `start`."""
+    for lineno, raw in enumerate(lines, start=start):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def check_field_types(obj, ints=(), reals=()):

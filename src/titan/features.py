@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, read_input_text
+from .errors import InputError, data_lines, read_input_text
 from .roadnet import TaskGraph
 
 log = logging.getLogger(__name__)
@@ -319,10 +319,7 @@ def parse_speed_csv(text, sensor_id, source="<speeds>"):
     except ValueError:
         raise InputError(f"{source}:1: bad start_index value") from None
     readings = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(lines[1:], start=2):
         try:
             readings.append(float(line))
         except ValueError:

@@ -54,10 +54,10 @@ def prox_l21(m, kappa):
         raise ValueError(f"threshold must be nonnegative, got {kappa}")
     m = np.atleast_2d(np.asarray(m, dtype=float))
     norms = np.sqrt(np.sum(m * m, axis=1))
-    # zero rows stay zero; avoid 0/0
+    # only surviving rows divide: kappa / norm overflows on a tiny norm
     scale = np.zeros_like(norms)
-    nz = norms > 0
-    scale[nz] = np.maximum(0.0, 1.0 - kappa / norms[nz])
+    keep = norms > kappa
+    scale[keep] = 1.0 - kappa / norms[keep]
     return m * scale[:, None]
 
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, read_input_text
+from .errors import InputError, data_lines, read_input_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,10 +144,7 @@ def parse_edge_list(text):
     edges must form a network that :func:`build_line_graph` accepts.
     """
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(text.splitlines()):
         parts = line.split()
         if len(parts) != 3:
             raise InputError(f"edge list line {lineno}: expected 3 fields, got {len(parts)}: {line!r}")

@@ -279,7 +279,8 @@ def update_Q(data: MultiTaskDataset, state: SolverState, g, hp: Hyperparams):
     itself, so an accepted step never trades the constraint for descent.
     A stalled step leaves Q unchanged. The slack on the accept test is
     relative: the Gram-form loss rounds at a scale set by the label
-    energy, not at a fixed 1e-12.
+    energy, not at a fixed 1e-12. Under fit's error state, a candidate
+    whose step, retraction or Lagrangian overflows is rejected too.
     """
     w_part = w_terms(data, state.W, state, hp)
     base = smooth_lagrangian(data, state.Q, state.W, state, hp, w_part)
@@ -287,9 +288,12 @@ def update_Q(data: MultiTaskDataset, state: SolverState, g, hp: Hyperparams):
     feasible = retract if hp.orthogonality else clip_nonneg
     alpha = hp.alpha
     for _ in range(MAX_BACKTRACKS):
-        candidate = feasible(state.Q - alpha * g)
-        if smooth_lagrangian(data, candidate, state.W, state, hp, w_part) <= bound:
-            return candidate, False
+        try:
+            candidate = feasible(state.Q - alpha * g)
+            if smooth_lagrangian(data, candidate, state.W, state, hp, w_part) <= bound:
+                return candidate, False
+        except FloatingPointError:
+            pass
         alpha *= 0.5
     return state.Q.copy(), True
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import csvfmt
 from .baselines import BaselineModel
-from .errors import InputError, read_input_text
+from .errors import InputError, data_lines, read_input_text
 from .features import MultiTaskDataset, TaskDataset
 from .roadnet import TaskGraph, check_road_id, check_task_edge
 from .solver import Hyperparams, TrainedModel
@@ -54,12 +54,16 @@ def _dump_json(obj, path):
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _load_json(path):
-    text = read_input_text(path)
+def _load_json(path, what=""):
+    """The JSON object in `path`; `what` names the file in the error
+    raised when it holds anything else."""
     try:
-        return json.loads(text)
+        obj = json.loads(read_input_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise InputError(f"{path}: {what}must hold a JSON object")
+    return obj
 
 
 def write_matrix_csv(path, M):
@@ -73,10 +77,7 @@ def read_matrix_csv(path):
     are skipped, a nan or inf cell is rejected, and errors name the
     line."""
     rows = []
-    for lineno, raw in enumerate(read_input_text(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(read_input_text(path).splitlines()):
         try:
             row = [float(cell) for cell in line.split(",")]
         except ValueError:
@@ -195,8 +196,6 @@ def read_task_graph(root):
     root = Path(root)
     meta_path = root / "tasks.json"
     meta = _load_json(meta_path)
-    if not isinstance(meta, dict):
-        raise InputError(f"{meta_path}: must hold a JSON object")
     for key in ("tasks", "h", "t", "rows"):
         if key not in meta:
             raise InputError(f"{meta_path}: missing key {key!r}")
@@ -218,10 +217,7 @@ def read_task_graph(root):
                          "per task") from None
     edge_path = root / "graph.edges"
     roads, edges = set(meta["tasks"]), []
-    for lineno, raw in enumerate(read_input_text(edge_path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(read_input_text(edge_path).splitlines()):
         parts = line.split()
         try:
             if len(parts) != 2:
@@ -333,9 +329,7 @@ def _road_list(v):
 
 
 def read_model(path):
-    obj = _load_json(path)
-    if not isinstance(obj, dict):
-        raise InputError(f"{path}: model file must hold a JSON object")
+    obj = _load_json(path, "model file ")
     if "kind" in obj:
         for key in ("p", "tasks", "weights", "lambda"):
             if key not in obj:
@@ -378,16 +372,11 @@ def read_model(path):
 
 
 def read_hyperparams(path):
-    obj = _load_json(path)
-    if not isinstance(obj, dict):
-        raise InputError(f"{path}: hyperparameter file must hold a JSON object")
-    return Hyperparams.from_dict(obj)
+    return Hyperparams.from_dict(_load_json(path, "hyperparameter file "))
 
 
 def read_synth_config(path):
-    obj = _load_json(path)
-    if not isinstance(obj, dict):
-        raise InputError(f"{path}: config must hold a JSON object")
+    obj = _load_json(path, "config ")
     try:
         return SynthConfig(**obj)
     except TypeError as exc:

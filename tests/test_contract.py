@@ -11,6 +11,7 @@ import io
 import json
 import math
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -434,17 +435,49 @@ def test_overflowing_prediction_exits_3(world):
 
 
 @pytest.mark.parametrize("command", ["train", "sweep-k"])
-def test_float_overflow_in_a_fit_exits_3_naming_the_iteration(world, command):
-    """A first Q step of 1e300 overflows in iteration 1."""
+def test_float_overflow_in_a_fit_exits_3_naming_the_iteration(world, monkeypatch, command):
+    """A multiplier update that overflows in iteration 2."""
+    real, calls = solver.update_multipliers, []
+
+    def overflowing(state, hp):
+        calls.append(state)
+        L1, L2 = real(state, hp)
+        if len(calls) == 2:
+            L1 = L1 + np.full_like(L1, 1e300) * 1e300
+        return L1, L2
+
+    monkeypatch.setattr(solver, "update_multipliers", overflowing)
     root, ds = world
-    hp = write_json(root / "huge-alpha.json", {"alpha": 1e300, "k": 2, "max_iter": 3})
-    out = root / f"huge-alpha-{command}"
+    hp = write_json(root / "overflow.json", {"k": 2, "max_iter": 3})
+    out = root / f"overflow-{command}"
     extra = ["--k", "2"] if command == "sweep-k" else []
     code, err, stdout = run_cli_streams([command, "--dataset", ds, "--config", hp, "--out", out, *extra])
     assert code == 3, (code, err)
     assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
-    assert err.endswith("overflow encountered in multiply at iteration 1\n"), err
+    assert err.endswith("overflow encountered in multiply at iteration 2\n"), err
     assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep-k"])
+@pytest.mark.parametrize("config", [
+    # every Q step from 1e300 down to 1e300 / 2**29 overflows, so each one stalls
+    {"alpha": 1e300, "k": 2, "max_iter": 3},
+    # prox_l21 zeroes every row of W, whose norms are far below lambda_w / rho
+    {"lambda_w": 1e300, "lambda_conn": 2**70, "max_iter": 1, "k": 2},
+], ids=["huge-alpha", "huge-lambda-w"])
+def test_extreme_configs_with_finite_answers_exit_0_without_warnings(world, config, command):
+    root, ds = world
+    hp = write_json(root / "extreme.json", config)
+    out = root / f"extreme-{command}"
+    extra = ["--k", "2"] if command == "sweep-k" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err, stdout = run_cli_streams([command, "--dataset", ds, "--config", hp, "--out", out, *extra])
+    assert code == 0, (code, err)
+    assert all(line.startswith("INFO ") for line in err.splitlines()), err
+    if command == "train":
+        assert err == "" and "converged=False" in stdout
+        assert not storage.read_model(out).converged
 
 
 # Every command that writes a file, its output path left for the caller to append.

@@ -282,3 +282,5 @@ def test_parse_speed_csv_errors():
         parse_speed_csv("# start_index=0\n55.0\nbad\n", "a", source="sp.csv")
     with pytest.raises(InputError, match="sp.csv:1"):
         parse_speed_csv("# start_index=x\n55.0\n", "a", source="sp.csv")
+    with pytest.raises(InputError, match="sp.csv:5: bad speed reading"):
+        parse_speed_csv("# start_index=0\n55.0\n\n# gap\nbad\n", "a", source="sp.csv")

@@ -134,6 +134,8 @@ def test_parse_edge_list_skips_comments_and_blanks():
 def test_parse_edge_list_field_count_error_names_line():
     with pytest.raises(InputError, match="line 2"):
         parse_edge_list("a b e1\na b\n")
+    with pytest.raises(InputError, match="line 4: expected 3 fields"):
+        parse_edge_list("# header\n\na b e1\na b\n")
 
 
 def test_load_edge_list(tmp_path):

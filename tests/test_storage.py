@@ -68,6 +68,9 @@ def test_matrix_csv_errors(tmp_path):
     bad.write_text("1,2\n3,x\n", encoding="utf-8")
     with pytest.raises(InputError, match=r"bad\.csv:2: bad numeric cell"):
         read_matrix_csv(bad)
+    bad.write_text("1,2\n\n# note\n3,x\n", encoding="utf-8")
+    with pytest.raises(InputError, match=r"bad\.csv:4: bad numeric cell"):
+        read_matrix_csv(bad)
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("1,2\n3\n", encoding="utf-8")
     with pytest.raises(InputError, match=r"ragged\.csv:2: ragged row"):
@@ -471,6 +474,9 @@ def test_dataset_reader_errors(tmp_path):
     (tmp_path / "graph.edges").write_text("a b c\n", encoding="utf-8")
     with pytest.raises(InputError, match="expected 2 fields, got 3"):
         read_task_graph(tmp_path)
+    (tmp_path / "graph.edges").write_text("# note\n\na b c\n", encoding="utf-8")
+    with pytest.raises(InputError, match=r"graph\.edges:3: expected 2 fields, got 3"):
+        read_task_graph(tmp_path)
     (tmp_path / "graph.edges").write_text("# none\na b\n", encoding="utf-8")
     graph, h, t, counts = read_task_graph(tmp_path)
     assert graph.tasks == ("a", "b") and (h, t) == (2, 2) and counts == {"train": [3, 4], "test": [1, 2]}
@@ -497,6 +503,26 @@ def test_dataset_reader_errors(tmp_path):
 def test_ground_truth_missing(tmp_path):
     with pytest.raises(InputError, match="missing file"):
         read_ground_truth(tmp_path)
+
+
+# Each JSON input a command reads: its reader and the error when it holds no object.
+JSON_INPUTS = {
+    "tasks.json": (lambda path: read_task_graph(path.parent), "must hold a JSON object"),
+    "ground_truth.json": (lambda path: read_ground_truth(path.parent), "must hold a JSON object"),
+    "model.json": (read_model, "model file must hold a JSON object"),
+    "hp.json": (read_hyperparams, "hyperparameter file must hold a JSON object"),
+    "synth.json": (read_synth_config, "config must hold a JSON object"),
+}
+
+
+@pytest.mark.parametrize("name", JSON_INPUTS)
+def test_json_inputs_must_hold_an_object(tmp_path, name):
+    read, message = JSON_INPUTS[name]
+    path = tmp_path / name
+    path.write_text("[]\n", encoding="utf-8")
+    with pytest.raises(InputError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 # --------------------------------------------------------------------- model
