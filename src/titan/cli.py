@@ -156,13 +156,7 @@ def cmd_report_groups(args):
     model = storage.read_model(args.model)
     if not isinstance(model, solver.TrainedModel):
         raise InputError("group reports require a grouped model, not a baseline")
-    top = evaluation.top_group_per_task(model)
-    overlap = evaluation.support_overlap_matrix(model.Q)
-    storage._dump_json({
-        "tasks": {road: {"group": idx, "q": q.tolist()} for road, (idx, q) in top.items()},
-        "Q": storage._fmt_matrix(model.Q),
-        "support_overlap": storage._fmt_matrix(overlap),
-    }, args.out)
+    storage.write_group_report(args.out, model)
     return 0
 
 

@@ -27,7 +27,6 @@ number of data rows.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -77,16 +76,6 @@ class Hyperparams:
             raise InputError("alpha and tolerances must be positive")
         if self.max_iter < 1:
             raise InputError(f"max_iter must be >= 1, got {self.max_iter}")
-
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_dict(d):
-        try:
-            return Hyperparams(**d)
-        except TypeError as exc:
-            raise InputError(f"bad hyperparameter set: {exc}") from None
 
 
 @dataclass(eq=False)

@@ -23,6 +23,7 @@ read_matrix_csv reads the one CSV input a command takes, `predict --x`.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import csvfmt
+from . import csvfmt, evaluation
 from .baselines import BaselineModel
 from .errors import InputError, data_lines, read_input_text
 from .features import MultiTaskDataset, TaskDataset
@@ -164,10 +165,7 @@ def write_dataset(root, graph: TaskGraph, h, t, rows, tasks, truth: GroundTruth 
                 _write_task(root / split, road, td, (rows[split][r], p), fh)
             del pair, td  # before the next task is drawn
     if truth is not None:
-        _dump_json(
-            {"tasks": list(truth.tasks), "Q": _fmt_matrix(truth.Q), "W": _fmt_matrix(truth.W)},
-            root / "ground_truth.json",
-        )
+        _dump_keys(_GROUND_TRUTH, truth, root / "ground_truth.json")
     _dump_json({"tasks": list(graph.tasks), "h": h, "t": t, "rows": rows}, root / "tasks.json")
     return root
 
@@ -249,53 +247,6 @@ def read_dataset(root):
     return read_split(root, "train"), read_split(root, "test")
 
 
-def read_ground_truth(root):
-    obj = _load_json(Path(root) / "ground_truth.json")
-    return GroundTruth(
-        Q=np.asarray(obj["Q"], dtype=float),
-        W=np.asarray(obj["W"], dtype=float),
-        tasks=tuple(obj["tasks"]),
-    )
-
-
-def write_model(path, model):
-    if isinstance(model, TrainedModel):
-        if model.iterations < 1:  # read_model would reject the file
-            raise InputError(f"{path}: cannot write a model with no fitted iterations")
-        obj = {
-            "p": model.p,
-            "k": model.k,
-            "tasks": list(model.tasks),
-            "Q": _fmt_matrix(model.Q),
-            "W": _fmt_matrix(model.W),
-            "hyperparams": model.hyperparams.to_dict(),
-            "converged": model.converged,
-            "iterations": model.iterations,
-            "residuals": {
-                "primal": float(model.final_residuals[0]),
-                "dual": float(model.final_residuals[1]),
-            },
-        }
-    elif isinstance(model, BaselineModel):
-        obj = {
-            "kind": model.kind,
-            "p": model.p,
-            "tasks": list(model.tasks),
-            "weights": _fmt_matrix(model.weights),
-            "lambda": model.lam,
-        }
-    else:
-        raise InputError(f"cannot serialize object of type {type(model).__name__}")
-    _dump_json(obj, path)
-
-
-def _model_value(path, obj, key, convert):
-    try:
-        return convert(obj[key])
-    except (TypeError, ValueError, KeyError, OverflowError):
-        raise InputError(f"{path}: bad value for {key!r}") from None
-
-
 def _finite_matrix(M):
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
@@ -328,56 +279,109 @@ def _road_list(v):
     return tuple(v)
 
 
+# Each JSON file titan writes and reads back, declared once: a row per
+# key in file order, (key, the value written from the object, the
+# converter that reads it back and raises on a bad value).
+_GROUPED_MODEL = (
+    ("p", lambda m: m.p, _positive_int),
+    ("k", lambda m: m.k, _positive_int),
+    ("tasks", lambda m: list(m.tasks), _road_list),
+    ("Q", lambda m: _fmt_matrix(m.Q), _finite_matrix),
+    ("W", lambda m: _fmt_matrix(m.W), _finite_matrix),
+    ("hyperparams", lambda m: dataclasses.asdict(m.hyperparams), lambda d: Hyperparams(**d)),
+    ("converged", lambda m: m.converged, _bool),
+    ("iterations", lambda m: m.iterations, _positive_int),
+    ("residuals", lambda m: {"primal": float(m.final_residuals[0]), "dual": float(m.final_residuals[1])},
+     lambda r: (float(r["primal"]), float(r["dual"]))),
+)
+_BASELINE_MODEL = (
+    ("kind", lambda m: m.kind, lambda kind: kind),  # BaselineModel checks it
+    ("p", lambda m: m.p, _positive_int),
+    ("tasks", lambda m: list(m.tasks), _road_list),
+    ("weights", lambda m: _fmt_matrix(m.weights), _finite_matrix),
+    ("lambda", lambda m: m.lam, _finite_real),
+)
+_GROUND_TRUTH = _GROUPED_MODEL[2:5]  # tasks, Q and W, written and read as a model's
+
+
+def _dump_keys(keys, obj, path):
+    _dump_json({key: write(obj) for key, write, _ in keys}, path)
+
+
+def _read_keys(path, obj, keys, what=""):
+    """`obj`'s values of `keys`, converted; every key is checked present
+    before the first value is converted."""
+    for key, _, _ in keys:
+        if key not in obj:
+            raise InputError(f"{path}: {what}missing key {key!r}")
+    values = {}
+    for key, _, convert in keys:
+        try:
+            values[key] = convert(obj[key])
+        except (TypeError, ValueError, KeyError, OverflowError):
+            raise InputError(f"{path}: bad value for {key!r}") from None
+    return values
+
+
+def read_ground_truth(root):
+    path = Path(root) / "ground_truth.json"
+    v = _read_keys(path, _load_json(path), _GROUND_TRUTH)
+    if v["Q"].ndim != 2 or v["W"].shape != (v["Q"].shape[1], len(v["tasks"])):
+        raise InputError(f"{path}: 'W' must have a row per column of 'Q' and a column per task")
+    return GroundTruth(Q=v["Q"], W=v["W"], tasks=v["tasks"])
+
+
+def write_model(path, model):
+    if isinstance(model, TrainedModel):
+        if model.iterations < 1:  # read_model would reject the file
+            raise InputError(f"{path}: cannot write a model with no fitted iterations")
+        _dump_keys(_GROUPED_MODEL, model, path)
+    elif isinstance(model, BaselineModel):
+        _dump_keys(_BASELINE_MODEL, model, path)
+    else:
+        raise InputError(f"cannot serialize object of type {type(model).__name__}")
+
+
 def read_model(path):
     obj = _load_json(path, "model file ")
     if "kind" in obj:
-        for key in ("p", "tasks", "weights", "lambda"):
-            if key not in obj:
-                raise InputError(f"{path}: baseline model missing key {key!r}")
-        p = _model_value(path, obj, "p", _positive_int)
-        tasks = _model_value(path, obj, "tasks", _road_list)
-        weights = _model_value(path, obj, "weights", _finite_matrix)
-        if weights.shape != (p, len(tasks)):
+        v = _read_keys(path, obj, _BASELINE_MODEL, "baseline model ")
+        if v["weights"].shape != (v["p"], len(v["tasks"])):
             raise InputError(f"{path}: matrix shapes inconsistent with declared p/tasks")
-        return BaselineModel(
-            kind=obj["kind"],
-            weights=weights,
-            tasks=tasks,
-            lam=_model_value(path, obj, "lambda", _finite_real),
-        )
-    for key in ("p", "k", "tasks", "Q", "W", "hyperparams", "converged", "iterations", "residuals"):
-        if key not in obj:
-            raise InputError(f"{path}: model missing key {key!r}")
-    p = _model_value(path, obj, "p", _positive_int)
-    k = _model_value(path, obj, "k", _positive_int)
-    tasks = _model_value(path, obj, "tasks", _road_list)
-    Q = _model_value(path, obj, "Q", _finite_matrix)
-    W = _model_value(path, obj, "W", _finite_matrix)
-    if Q.shape != (p, k) or W.shape != (k, len(tasks)):
+        return BaselineModel(kind=v["kind"], weights=v["weights"], tasks=v["tasks"], lam=v["lambda"])
+    v = _read_keys(path, obj, _GROUPED_MODEL, "model ")
+    p, k = v["p"], v["k"]
+    if v["Q"].shape != (p, k) or v["W"].shape != (k, len(v["tasks"])):
         raise InputError(f"{path}: matrix shapes inconsistent with declared p/k/tasks")
-    model = TrainedModel(
-        Q=Q,
-        W=W,
-        tasks=tasks,
-        hyperparams=_model_value(path, obj, "hyperparams", Hyperparams.from_dict),
-        converged=_model_value(path, obj, "converged", _bool),
-        iterations=_model_value(path, obj, "iterations", _positive_int),
-        final_residuals=_model_value(
-            path, obj, "residuals", lambda r: (float(r["primal"]), float(r["dual"]))
-        ),
-    )
-    if model.hyperparams.k != k:
+    if v["hyperparams"].k != k:
         raise InputError(f"{path}: bad value for 'hyperparams'")
-    return model
+    return TrainedModel(Q=v["Q"], W=v["W"], tasks=v["tasks"], hyperparams=v["hyperparams"],
+                        converged=v["converged"], iterations=v["iterations"],
+                        final_residuals=v["residuals"])
+
+
+def write_group_report(path, model):
+    """report-groups' JSON: each road's top group and its Q column, Q, the support overlap."""
+    top = evaluation.top_group_per_task(model)
+    _dump_json({
+        "tasks": {road: {"group": idx, "q": q.tolist()} for road, (idx, q) in top.items()},
+        "Q": _fmt_matrix(model.Q),
+        "support_overlap": _fmt_matrix(evaluation.support_overlap_matrix(model.Q)),
+    }, path)
+
+
+def _read_config(path, cls, what, name):
+    """`cls(**obj)` for the JSON object in `path`; cls checks each value."""
+    obj = _load_json(path, what)
+    try:
+        return cls(**obj)
+    except TypeError as exc:
+        raise InputError(f"{path}: bad {name}: {exc}") from None
 
 
 def read_hyperparams(path):
-    return Hyperparams.from_dict(_load_json(path, "hyperparameter file "))
+    return _read_config(path, Hyperparams, "hyperparameter file ", "hyperparameter set")
 
 
 def read_synth_config(path):
-    obj = _load_json(path, "config ")
-    try:
-        return SynthConfig(**obj)
-    except TypeError as exc:
-        raise InputError(f"{path}: bad synth config: {exc}") from None
+    return _read_config(path, SynthConfig, "config ", "synth config")

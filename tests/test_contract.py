@@ -480,6 +480,28 @@ def test_extreme_configs_with_finite_answers_exit_0_without_warnings(world, conf
         assert not storage.read_model(out).converged
 
 
+@pytest.fixture(scope="module")
+def star6(tmp_path_factory):
+    """The default synth (6-road star, p = 60) at seed 1."""
+    ds = tmp_path_factory.mktemp("star6") / "ds"
+    assert main(["synth", "--seed", "1", "--out", str(ds)]) == 0
+    return ds
+
+
+@pytest.mark.parametrize("lam", ["1e300", "5e-324"])
+@pytest.mark.parametrize("kind", baselines.BASELINE_KINDS)
+def test_extreme_baseline_penalties_exit_0_without_warnings(star6, tmp_path, kind, lam):
+    out = tmp_path / "baseline.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err, stdout = run_cli_streams(["train-baseline", "--dataset", star6, "--kind", kind,
+                                             "--lam", lam, "--out", out])
+    assert code == 0, (code, err)
+    assert all(line.startswith("INFO ") for line in err.splitlines()), err
+    assert math.isfinite(float(stdout.rsplit("pooled_test_rmse=", 1)[1]))
+    assert storage.read_model(out).lam == float(lam)
+
+
 # Every command that writes a file, its output path left for the caller to append.
 WRITERS = {
     "synth": lambda root, ds: ["synth", "--config", root / "synth.json", "--out"],

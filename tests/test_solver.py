@@ -1004,12 +1004,3 @@ def test_hyperparams_validation():
     with pytest.raises(InputError, match="orthogonality"):
         Hyperparams(orthogonality="no")
     assert Hyperparams(k=np.int64(3), lambda_w=1, rho=np.float64(2.0)).k == 3
-
-
-def test_hyperparams_dict_round_trip():
-    hp = Hyperparams(lambda_w=0.3, k=4, orthogonality=False)
-    assert Hyperparams.from_dict(hp.to_dict()) == hp
-    assert len(hp.to_dict()) == 10
-    for bad in ({"k": 3, "bogus": 1}, {"seed": 1}, {"inner_w_solve": "exact"}):
-        with pytest.raises(InputError, match="bad hyperparameter"):
-            Hyperparams.from_dict(bad)

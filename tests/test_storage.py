@@ -505,6 +505,30 @@ def test_ground_truth_missing(tmp_path):
         read_ground_truth(tmp_path)
 
 
+# ground_truth.json edits, and the error each gives after the file's path
+GROUND_TRUTH_FAULTS = {
+    "missing Q": (lambda obj: {key: obj[key] for key in ("tasks", "W")}, "missing key 'Q'"),
+    "text cell in Q": (lambda obj: {**obj, "Q": [["x", *obj["Q"][0][1:]], *obj["Q"][1:]]},
+                       "bad value for 'Q'"),
+    "tasks not a list": (lambda obj: {**obj, "tasks": 5}, "bad value for 'tasks'"),
+    "W missing a task": (lambda obj: {**obj, "W": [row[:-1] for row in obj["W"]]},
+                         "'W' must have a row per column of 'Q' and a column per task"),
+}
+
+
+@pytest.mark.parametrize("fault", GROUND_TRUTH_FAULTS)
+def test_ground_truth_errors_name_the_file_and_key(tmp_path, fault):
+    edit, message = GROUND_TRUTH_FAULTS[fault]
+    train, test, truth = generate(SynthConfig(T=3, p=8, k=2, n_per_task=20, graph_kind="path", seed=1))
+    root = write_dataset(tmp_path, *in_memory(train, test), truth)
+    read_ground_truth(root)
+    path = root / "ground_truth.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text(encoding="utf-8")))), encoding="utf-8")
+    with pytest.raises(InputError) as info:
+        read_ground_truth(root)
+    assert str(info.value) == f"{path}: {message}"
+
+
 # Each JSON input a command reads: its reader and the error when it holds no object.
 JSON_INPUTS = {
     "tasks.json": (lambda path: read_task_graph(path.parent), "must hold a JSON object"),
@@ -669,6 +693,25 @@ def test_read_hyperparams(tmp_path):
     path.write_text('{"bogus": 1}\n', encoding="utf-8")
     with pytest.raises(InputError, match="bad hyperparameter"):
         read_hyperparams(path)
+
+
+def test_hyperparams_round_trip_through_a_model_file(tmp_path):
+    """A model file keeps all ten hyperparameters; a hyperparameter file
+    naming any other key, the retired ones among them, exits naming it."""
+    hp = Hyperparams(lambda_w=0.3, lambda_q=0.02, lambda_conn=2.0, rho=0.5, k=2, alpha=0.04,
+                     max_iter=7, eps_primal=1e-4, eps_dual=2e-4, orthogonality=False)
+    model = TrainedModel(Q=np.eye(3)[:, :2], W=np.ones((2, 1)), tasks=("a",), hyperparams=hp,
+                         iterations=1, final_residuals=(0.0, 0.0))
+    path = tmp_path / "model.json"
+    write_model(path, model)
+    assert len(json.loads(path.read_text(encoding="utf-8"))["hyperparams"]) == 10
+    assert read_model(path).hyperparams == hp
+    for key in ("seed", "inner_w_solve", "bogus"):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({"k": 3, key: 1}), encoding="utf-8")
+        with pytest.raises(InputError) as info:
+            read_hyperparams(path)
+        assert str(info.value).startswith(f"{path}: bad hyperparameter set: ") and key in str(info.value)
 
 
 def test_read_synth_config(tmp_path):
