@@ -170,7 +170,7 @@ def cmd_assemble(args):
         series_by_road[road] = features.load_speed_csv(path, road)
     train, test = features.assemble_dataset(
         incidents, series_by_road, graph, args.h, args.t,
-        split=args.split, seed=args.seed if args.seed is not None else 0,
+        split=args.split, seed=args.seed,
         standardize=args.standardize,
     )
     storage.write_dataset(args.out, *storage.in_memory(train, test))
@@ -237,7 +237,7 @@ def build_parser():
     p.add_argument("--h", type=int, required=True, help="detection window length")
     p.add_argument("--t", type=int, required=True, help="early-verification window length")
     p.add_argument("--split", type=float, default=0.8)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--standardize", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_assemble)

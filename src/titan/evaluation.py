@@ -15,11 +15,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import solver
 from .baselines import BaselineModel
 from .errors import InputError
 from .features import MultiTaskDataset
-from .solver import Hyperparams, TrainedModel, fit, predict
+from .solver import Hyperparams, TrainedModel, fit, predict, structured_q0
 
 log = logging.getLogger(__name__)
 
@@ -174,8 +173,7 @@ def sweep_group_count(train: MultiTaskDataset, test: MultiTaskDataset, hp_base: 
 
     started = time.perf_counter()
     reports, fit_total = [], 0.0
-    # solver.structured_q0 is looked up at call time, so a wrapper on it sees the call
-    for k, q0 in zip(ks, solver.structured_q0(train, ks)):
+    for k, q0 in zip(ks, structured_q0(train, ks)):
         fit_started = time.perf_counter()
         try:
             model = fit(train, replace(hp_base, k=k), q0=q0)

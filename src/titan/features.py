@@ -223,6 +223,8 @@ def assemble_dataset(
     check_window_sizes(h, t)
     if not 0 < split < 1:
         raise InputError(f"split fraction must be in (0, 1), got {split}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     for inc in incidents:
         if inc.road_id not in graph.tasks:
             raise InputError(f"incident {inc.incident_id!r} references unknown road {inc.road_id!r}")

@@ -142,12 +142,14 @@ def write_dataset(root, graph: TaskGraph, h, t, rows, tasks, truth: GroundTruth 
     TaskDataset pair per road of `graph`, in task order; each is written
     and dropped before the next is asked for, so `synth` streams its
     generator through here holding one task. A dataset already in memory
-    passes `*in_memory(train, test)`. tasks.json is deleted first and
-    written last, so a write that failed part-way leaves no dataset.
+    passes `*in_memory(train, test)`. tasks.json is deleted first, with
+    an earlier dataset's ground_truth.json, and written last, so a write
+    that failed part-way leaves no dataset.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     (root / "tasks.json").unlink(missing_ok=True)
+    (root / "ground_truth.json").unlink(missing_ok=True)
     edge_lines = [f"{a} {b}" for a, b in graph.task_edges()]
     (root / "graph.edges").write_text("\n".join(edge_lines) + "\n", encoding="utf-8")
     p = h + t

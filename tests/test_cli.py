@@ -47,11 +47,12 @@ def write_json(path, obj):
     return str(path)
 
 
-def run_python(*args, **extra_env):
-    """Run a fresh interpreter that imports this titan package, with
-    `extra_env` added to its environment."""
+def run_python(*args, cwd=None, **extra_env):
+    """Run a fresh interpreter that imports this titan package, in `cwd`,
+    with `extra_env` added to its environment."""
     env = dict(os.environ, PYTHONPATH=str(Path(titan.__file__).resolve().parents[1]), **extra_env)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=120)
 
 
 def pooled_from_stdout(text):
@@ -569,6 +570,31 @@ def test_cli_import_leaves_process_pool_modules_unloaded(sweep_ds):
     )
     proc = run_python("-c", script)
     assert proc.returncode == 0 and proc.stdout.strip().splitlines()[-1] == "0 False"
+
+
+def test_package_import_loads_no_module():
+    """The package is its modules: `import titan` loads neither numpy nor
+    any titan module."""
+    script = "import sys, titan; print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('titan.')))"
+    proc = run_python("-c", script)
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stdout + proc.stderr
+
+
+README = Path(__file__).parents[1] / "README.md"
+README_BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+
+
+@pytest.mark.parametrize("block", README_BLOCKS, ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_python_blocks_run(tmp_path, block):
+    """Each README python block runs beside `titan synth --out data/ --seed 7`,
+    prints what its comments say, and leaves no file handle open."""
+    assert main(["synth", "--out", str(tmp_path / "data"), "--seed", "7"]) == 0
+    proc = run_python("-W", "default::ResourceWarning", "-c", block, cwd=tmp_path)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    printed = proc.stdout.splitlines()
+    for line in block.splitlines():
+        if line.startswith("print(") and "  # " in line:
+            assert line.split("  # ", 1)[1] in printed, (line, printed)
 
 
 # -------------------------------------------------------------- report-groups

@@ -403,6 +403,15 @@ def test_non_finite_duration_exits_2_naming_the_line(world):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "assemble"])
+def test_negative_seed_exits_2(world, command):
+    root, _ = world
+    out = root / f"seed-{command}"
+    code, err, stdout = run_cli_streams(WRITERS[command](root, None)[:-1] + ["--seed", "-1", "--out", out])
+    assert (code, err, stdout) == (2, "error: seed must be >= 0, got -1\n", "")
+    assert not (out / "tasks.json").exists()
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e309"])
 def test_non_finite_predict_cell_exits_2_naming_the_line(world, cell):
     root, ds = world

@@ -457,6 +457,17 @@ def test_rewriting_a_dataset_replaces_its_caches(tmp_path):
             np.testing.assert_array_equal(a.Y, b.Y)
 
 
+def test_rewriting_a_dataset_without_truth_drops_the_earlier_truth(tmp_path):
+    """A dataset written over a synthetic one keeps none of its planted Q
+    and W, so ground_truth.json never names roads the tasks do not."""
+    train, test, truth = generate(SynthConfig(T=3, p=8, k=2, n_per_task=20, graph_kind="path", seed=1))
+    root = write_dataset(tmp_path / "ds", *in_memory(train, test), truth)
+    train, test, _ = generate(SynthConfig(T=4, p=8, k=2, n_per_task=20, graph_kind="star", seed=2))
+    write_dataset(root, *in_memory(train, test))
+    with pytest.raises(InputError, match="missing file"):
+        read_ground_truth(root)
+
+
 def test_dataset_reader_errors(tmp_path):
     with pytest.raises(InputError, match="missing file"):
         read_task_graph(tmp_path)
