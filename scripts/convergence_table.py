@@ -4,7 +4,8 @@ Prints one markdown row per fit: iterations, converged flag, final
 primal/dual residuals, orthogonality gap, planted-block Jaccard (synthetic
 data only) and pooled test RMSE. Suites: the default 6-road star, p=120,
 a 40-road path, and the raw-minute 4x4 grid that `bench/rawgen.py` writes,
-assembled as the benchmark assembles it. Run from the repository root:
+assembled as the benchmark assembles it. Exits 1, after the whole table,
+when any fit it tabulates did not converge. Run from the repository root:
 
     PYTHONPATH=src python scripts/convergence_table.py [--suite star6] [--seeds 0-11]
 
@@ -47,6 +48,7 @@ def raw_grid(seed, workdir):
 
 
 def row(suite, seed):
+    """The fit's table row and whether the fit converged."""
     config, _ = SUITES[suite]
     if config is None:
         with tempfile.TemporaryDirectory() as tmp:
@@ -61,7 +63,7 @@ def row(suite, seed):
     jac = "-" if truth is None else f"{recovery_jaccard(model.Q, truth.block_supports):.3f}"
     return (f"| {suite} | {seed} | {model.iterations} | {model.converged} | {p_res:.2e} | "
             f"{d_res:.2e} | {model.orth_gap:.1e} | {jac} | {pooled_rmse(model, test):.4f} | "
-            f"{elapsed:.2f} |")
+            f"{elapsed:.2f} |"), model.converged
 
 
 def seed_range(text):
@@ -78,10 +80,16 @@ def main():
     print("| suite | seed | iterations | converged | primal | dual | orth gap | Jaccard | test RMSE "
           "| fit s |")
     print("|---|---|---|---|---|---|---|---|---|---|")
+    unconverged = 0
     for suite in args.suite or SUITES:
         for seed in args.seeds or SUITES[suite][1]:
-            print(row(suite, seed), flush=True)
+            text, converged = row(suite, seed)
+            print(text, flush=True)
+            unconverged += not converged
+    if unconverged:
+        print(f"{unconverged} fit(s) did not converge", file=sys.stderr)
+    return 1 if unconverged else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

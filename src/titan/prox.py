@@ -59,8 +59,3 @@ def prox_l21(m, kappa):
     keep = norms > kappa
     scale[keep] = 1.0 - kappa / norms[keep]
     return m * scale[:, None]
-
-
-def clip_nonneg(m):
-    """Projection onto the nonnegative orthant."""
-    return np.maximum(m, 0.0)

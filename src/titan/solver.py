@@ -36,7 +36,7 @@ from numpy.linalg import _umath_linalg
 from .baselines import fit_ridge
 from .errors import InputError, NumericalAbort, check_field_types
 from .features import MultiTaskDataset
-from .prox import clip_nonneg, norm_fro, norm_l1, norm_l21, prox_l21, soft_threshold_nonneg
+from .prox import norm_fro, norm_l1, norm_l21, prox_l21, soft_threshold_nonneg
 
 MAX_BACKTRACKS = 30
 # A fit whose Q step stalled this many iterations in a row stops, unconverged.
@@ -60,12 +60,9 @@ class Hyperparams:
     max_iter: int = 2000
     eps_primal: float = 1e-3
     eps_dual: float = 1e-3
-    orthogonality: bool = True
 
     def __post_init__(self):
         check_field_types(self, _INT_FIELDS, _REAL_FIELDS)
-        if not isinstance(self.orthogonality, bool):
-            raise InputError(f"orthogonality must be true or false, got {self.orthogonality!r}")
         if not self.rho > 0:
             raise InputError(f"rho must be positive, got {self.rho}")
         if self.k < 1:
@@ -99,7 +96,6 @@ class TrainedModel:
     converged: bool = False
     iterations: int = 0
     final_residuals: tuple = (np.inf, np.inf)
-    residual_history: tuple = field(default=(), repr=False, compare=False)
     label = "titan"  # method name in reports (a class constant, not a field)
 
     @property
@@ -262,10 +258,9 @@ def update_Q(data: MultiTaskDataset, state: SolverState, g, hp: Hyperparams):
     """Backtracking gradient step on Q that keeps Q feasible.
 
     Halves the step from hp.alpha until the smooth Lagrangian at the
-    candidate stops increasing; returns (new Q, stalled). The candidate
-    is retract(Q - alpha g) when hp.orthogonality is on, and only
-    clipped to Q >= 0 when it is off; the accept test sees the candidate
-    itself, so an accepted step never trades the constraint for descent.
+    candidate retract(Q - alpha g) stops increasing; returns (new Q,
+    stalled). The accept test sees the retracted candidate itself, so an
+    accepted step never trades the constraint for descent.
     A stalled step leaves Q unchanged. The slack on the accept test is
     relative: the Gram-form loss rounds at a scale set by the label
     energy, not at a fixed 1e-12. Under fit's error state, a candidate
@@ -274,11 +269,10 @@ def update_Q(data: MultiTaskDataset, state: SolverState, g, hp: Hyperparams):
     w_part = w_terms(data, state.W, state, hp)
     base = smooth_lagrangian(data, state.Q, state.W, state, hp, w_part)
     bound = base + 1e-12 * max(1.0, abs(base))
-    feasible = retract if hp.orthogonality else clip_nonneg
     alpha = hp.alpha
     for _ in range(MAX_BACKTRACKS):
         try:
-            candidate = feasible(state.Q - alpha * g)
+            candidate = retract(state.Q - alpha * g)
             if smooth_lagrangian(data, candidate, state.W, state, hp, w_part) <= bound:
                 return candidate, False
         except FloatingPointError:
@@ -308,8 +302,7 @@ def residuals(state_prev: SolverState, state_new: SolverState, hp: Hyperparams):
     at rounding level, and the residual certifies that it does.
     """
     p_res = norm_fro(state_new.W - state_new.U_W) + norm_fro(state_new.Q - state_new.U_Q)
-    if hp.orthogonality:
-        p_res += orthogonality_gap(state_new.Q)
+    p_res += orthogonality_gap(state_new.Q)
     d_res = hp.rho * (
         norm_fro(state_new.U_W - state_prev.U_W) + norm_fro(state_new.U_Q - state_prev.U_Q)
     )
@@ -372,20 +365,25 @@ def structured_q0(data: MultiTaskDataset, ks):
     magnitudes, normalized: disjoint supports, so Q0 is exactly
     feasible. Deterministic given the data. Everything but the last
     cut is independent of k, so it is done once for all of ks, and each
-    Q0 is the one a call with that k alone returns.
+    Q0 is the one a call with that k alone returns. Runs in fit's error
+    state: a floating-point error raises NumericalAbort naming the start.
     """
-    B = fit_ridge(data, 0.01)
-    norms = np.linalg.norm(B, axis=1)
-    F = (np.vstack([B[:1], B[:-1]]) + B + np.vstack([B[1:], B[-1:]])) / 3.0
-    fn = np.linalg.norm(F, axis=1)
-    rows = F / np.where(fn > 0, fn, 1.0)[:, None]
-    starts = []
-    for k, bounds in zip(ks, _segment_contiguous(rows, np.maximum(fn, 1e-12) ** 2, ks)):
-        Q = np.zeros((data.p, k))
-        for c in range(k):
-            seg = slice(bounds[c], bounds[c + 1])
-            Q[seg, c] = np.maximum(norms[seg], 1e-12)
-        starts.append(Q / np.linalg.norm(Q, axis=0))
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            B = fit_ridge(data, 0.01)
+            norms = np.linalg.norm(B, axis=1)
+            F = (np.vstack([B[:1], B[:-1]]) + B + np.vstack([B[1:], B[-1:]])) / 3.0
+            fn = np.linalg.norm(F, axis=1)
+            rows = F / np.where(fn > 0, fn, 1.0)[:, None]
+            starts = []
+            for k, bounds in zip(ks, _segment_contiguous(rows, np.maximum(fn, 1e-12) ** 2, ks)):
+                Q = np.zeros((data.p, k))
+                for c in range(k):
+                    seg = slice(bounds[c], bounds[c + 1])
+                    Q[seg, c] = np.maximum(norms[seg], 1e-12)
+                starts.append(Q / np.linalg.norm(Q, axis=0))
+    except FloatingPointError as exc:
+        raise NumericalAbort(f"{exc} in the start") from None
     return starts
 
 
@@ -436,7 +434,7 @@ def fit(data: MultiTaskDataset, hp: Hyperparams, q0=None) -> TrainedModel:
     converged, since its residuals only show that nothing moved, and
     MAX_STALLED_RUN stalled Q steps in a row end the fit unconverged. A
     non-finite value, float overflow, invalid operation or division by
-    zero raises NumericalAbort naming the variable or the iteration.
+    zero raises NumericalAbort naming the start, variable or iteration.
     """
     if hp.k > data.p:
         raise InputError(f"group count k={hp.k} exceeds feature dimension p={data.p}")
@@ -444,7 +442,6 @@ def fit(data: MultiTaskDataset, hp: Hyperparams, q0=None) -> TrainedModel:
 
     converged = False
     stalled_run = 0
-    history = []  # (primal, dual) residuals, one pair per iteration
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for it in range(1, hp.max_iter + 1):
@@ -456,7 +453,6 @@ def fit(data: MultiTaskDataset, hp: Hyperparams, q0=None) -> TrainedModel:
                 state.U_W, state.U_Q = update_duals(state, hp)
                 state.Lambda1, state.Lambda2 = update_multipliers(state, hp)
                 p_res, d_res = residuals(prev, state, hp)
-                history.append((p_res, d_res))
                 check_finite(state, it)
                 if not stalled and p_res < hp.eps_primal and d_res < hp.eps_dual:
                     converged = True
@@ -464,7 +460,7 @@ def fit(data: MultiTaskDataset, hp: Hyperparams, q0=None) -> TrainedModel:
                 if stalled_run == MAX_STALLED_RUN:
                     break
     except FloatingPointError as exc:
-        raise NumericalAbort(f"{exc} at iteration {len(history) + 1}") from None
+        raise NumericalAbort(f"{exc} at iteration {it}") from None
 
     return TrainedModel(
         Q=state.Q.copy(),
@@ -472,9 +468,8 @@ def fit(data: MultiTaskDataset, hp: Hyperparams, q0=None) -> TrainedModel:
         tasks=tuple(data.graph.tasks),
         hyperparams=hp,
         converged=converged,
-        iterations=len(history),
-        final_residuals=history[-1],
-        residual_history=tuple(history),
+        iterations=it,
+        final_residuals=(p_res, d_res),
     )
 
 

@@ -249,18 +249,18 @@ def read_dataset(root):
     return read_split(root, "train"), read_split(root, "test")
 
 
+def _finite_real(v, low=-math.inf):
+    """A finite JSON number >= low (an int or a float, not a bool or a string)."""
+    if type(v) not in (int, float) or not math.isfinite(v) or v < low:
+        raise ValueError("not a finite JSON number in range")
+    return float(v)
+
+
 def _finite_matrix(M):
-    M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("non-finite entry")
-    return M
-
-
-def _finite_real(v):
-    v = float(v)
-    if not math.isfinite(v):
-        raise ValueError("non-finite value")
-    return v
+    """A list of rows of finite JSON numbers, as a float matrix."""
+    if not isinstance(M, list) or not all(isinstance(row, list) for row in M):
+        raise ValueError("not a list of rows")
+    return np.array([[_finite_real(v) for v in row] for row in M], dtype=float)
 
 
 def _positive_int(v):
@@ -294,7 +294,7 @@ _GROUPED_MODEL = (
     ("converged", lambda m: m.converged, _bool),
     ("iterations", lambda m: m.iterations, _positive_int),
     ("residuals", lambda m: {"primal": float(m.final_residuals[0]), "dual": float(m.final_residuals[1])},
-     lambda r: (float(r["primal"]), float(r["dual"]))),
+     lambda r: (_finite_real(r["primal"], 0), _finite_real(r["dual"], 0))),
 )
 _BASELINE_MODEL = (
     ("kind", lambda m: m.kind, lambda kind: kind),  # BaselineModel checks it

@@ -67,8 +67,11 @@ class SynthConfig:
             raise InputError(f"weight_smoothness must be positive, got {self.weight_smoothness}")
         if not 0 <= self.feature_corr < 1:
             raise InputError(f"feature_corr must be in [0, 1), got {self.feature_corr}")
-        tasks = 1 if self.graph_kind == "custom-edge-list" else self.T  # an edge list sets T
-        values = tasks * self.n_per_task * (self.p + 1)
+        self.check_size(1 if self.graph_kind == "custom-edge-list" else self.T)  # draw counts its roads
+
+    def check_size(self, T):
+        """Refuse T tasks of this config above MAX_SYNTH_VALUES values."""
+        values = T * self.n_per_task * (self.p + 1)
         if values > MAX_SYNTH_VALUES:
             raise InputError(f"dataset too large: T*n_per_task*(p+1) = {values} values, cap {MAX_SYNTH_VALUES}")
 
@@ -179,6 +182,7 @@ def draw(config: SynthConfig):
     each road's rows and noise.
     """
     graph = make_task_graph(config)
+    config.check_size(graph.n_tasks)
     ss = np.random.SeedSequence(config.seed)
     q_seed, w_seed, data_seed = ss.spawn(3)
     Q = plant_Q(config.p, config.k, q_seed)

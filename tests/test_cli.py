@@ -208,6 +208,23 @@ def test_synth_failing_part_way_leaves_no_dataset(tmp_path, capsys):
     assert "missing file" in capsys.readouterr().err
 
 
+def test_synth_edge_list_counts_its_roads_against_the_size_cap(tmp_path, capsys, monkeypatch):
+    """4 roads of 10**6 rows of p + 1 = 100 values are 4e8 values, 4x the
+    cap: refused before a row is drawn, as the same sizes with T = 4 are."""
+    def drawn(*args):
+        raise AssertionError("a row was drawn")
+
+    monkeypatch.setattr(titan.synth, "ar1_rows", drawn)
+    edges = tmp_path / "roads.edges"
+    edges.write_text("v0 v1 a\nv1 v2 b\nv1 v3 c\nv3 v4 d\n", encoding="utf-8")
+    cfg = write_json(tmp_path / "big.json", {"graph_kind": "custom-edge-list", "edge_list_path": str(edges),
+                                             "n_per_task": 10**6, "p": 99, "k": 3})
+    out = tmp_path / "ds"
+    assert main(["synth", "--config", cfg, "--out", str(out)]) == 2
+    assert "too large: T*n_per_task*(p+1) = 400000000 values" in capsys.readouterr().err
+    assert not (out / "train" / "values.npy").exists()
+
+
 # --------------------------------------------------------------------- train
 
 
@@ -226,14 +243,6 @@ def test_train_converges_and_is_deterministic(small_ds, trained, tmp_path, capsy
     assert loaded.converged and loaded.k == 3
 
 
-def test_train_orthogonality_off_by_config(small_ds, tmp_path):
-    _, _, ds = small_ds
-    hp = write_json(tmp_path / "hp.json", {"k": 3, "max_iter": 800, "orthogonality": False})
-    out = tmp_path / "no_orth.json"
-    assert main(["train", "--dataset", str(ds), "--config", hp, "--out", str(out)]) == 0
-    assert read_model(out).hyperparams.orthogonality is False
-
-
 def test_train_singular_w_system_exits_3(small_ds, tmp_path, capsys, monkeypatch):
     _, _, ds = small_ds
 
@@ -245,6 +254,21 @@ def test_train_singular_w_system_exits_3(small_ds, tmp_path, capsys, monkeypatch
     assert rc == 3
     assert capsys.readouterr().err.startswith("numerical failure: W subproblem solve failed for task 'r00'")
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command", [["train"], ["sweep-k", "--k", "2,3"]])
+def test_overflowing_structured_start_exits_3(tmp_path, capsys, command):
+    """Labels near 1e150 overflow the start's segment table: the fit's
+    error state covers the start, so the command names it and exits 3."""
+    ds = tmp_path / "ds"
+    cfg = write_json(tmp_path / "synth.json", {"weight_smoothness": 1e-300, "T": 3, "p": 6, "k": 3,
+                                               "n_per_task": 20})
+    assert main(["synth", "--config", cfg, "--seed", "1", "--out", str(ds)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([*command, "--dataset", str(ds), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical failure: overflow encountered in square in the start\n"
+    assert not out.exists()
 
 
 def test_train_and_evaluate_each_read_only_their_split(small_ds, trained, tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 from helpers import oracle_prox_l21_row, oracle_soft_threshold, oracle_soft_threshold_nonneg
 from titan.prox import (
-    clip_nonneg,
     norm_fro,
     norm_l1,
     norm_l21,
@@ -146,11 +145,6 @@ def test_soft_threshold_nonneg_output_nonnegative():
     rng = np.random.default_rng(9)
     out = soft_threshold_nonneg(rng.standard_normal((10, 10)), 0.2)
     assert np.all(out >= 0)
-
-
-def test_clip_nonneg():
-    out = clip_nonneg(np.array([[-1.0, 2.0], [0.0, -0.5]]))
-    np.testing.assert_array_equal(out, [[0.0, 2.0], [0.0, 0.0]])
 
 
 def test_negative_kappa_rejected():

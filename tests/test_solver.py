@@ -88,7 +88,7 @@ def quadratic_instance(rng, p=6, k=3, T=2):
     graph = TaskGraph.from_task_edges(names, [(names[0], names[1])])
     tasks = tuple(TaskDataset(nm, np.zeros((4, p)), rng.standard_normal(4)) for nm in names)
     data = MultiTaskDataset(tasks, graph, p // 2, p - p // 2)
-    hp = Hyperparams(k=k, orthogonality=False)
+    hp = Hyperparams(k=k)
     return data, hp
 
 
@@ -168,8 +168,6 @@ def test_gram_forms_match_residual_loop_random():
     for _ in range(10):
         data, state, hp = random_instance(rng)
         assert_gram_forms_match_loops(data, state, hp)
-        no_orth = dataclasses.replace(hp, orthogonality=False)
-        assert_gram_forms_match_loops(data, state, no_orth)
 
 
 def test_smooth_lagrangian_with_precomputed_w_terms_is_bit_identical():
@@ -415,15 +413,6 @@ def assert_feasible(Q):
     assert orthogonality_gap(Q) < 1e-12
 
 
-def test_update_q_zero_gradient_keeps_q():
-    rng = np.random.default_rng(14)
-    data, state, hp = random_instance(rng)
-    hp = dataclasses.replace(hp, orthogonality=False)  # the clip-only step
-    new_Q, stalled = update_Q(data, state, np.zeros_like(state.Q), hp)
-    assert not stalled
-    np.testing.assert_array_equal(new_Q, state.Q)
-
-
 def test_update_q_zero_gradient_keeps_feasible_q():
     rng = np.random.default_rng(14)
     data, state, hp = random_instance(rng)
@@ -433,25 +422,9 @@ def test_update_q_zero_gradient_keeps_feasible_q():
     np.testing.assert_allclose(new_Q, state.Q, rtol=0, atol=1e-15)
 
 
-def test_update_q_clips_negative_entries():
-    rng = np.random.default_rng(15)
-    data, hp = quadratic_instance(rng)
-    hp = dataclasses.replace(hp, rho=1.0)  # alpha * rho * 1 = 0.02 steps past 0.01
-    p, k = data.p, hp.k
-    state = initial_state(data, hp)
-    state.Q = np.full((p, k), 0.01)
-    state.U_Q = state.Q - 1.0  # quadratic minimum has negative coordinates
-    g = grad_Q(data, state, hp)
-    assert np.all(g > 0)
-    new_Q, stalled = update_Q(data, state, g, hp)
-    assert not stalled
-    assert np.all(new_Q == 0.0)
-
-
 def test_update_q_retraction_drops_rows_pushed_negative():
     rng = np.random.default_rng(15)
     data, hp = quadratic_instance(rng)
-    hp = dataclasses.replace(hp, orthogonality=True)
     state = initial_state(data, hp, q0=plant_Q(data.p, hp.k, seed=0))
     # pull the first row of each column below zero, leave the others in place
     state.U_Q = state.Q.copy()
@@ -542,16 +515,19 @@ def test_update_q_never_increases_smooth_lagrangian():
         assert np.all(new_Q >= 0)
 
 
-def test_update_q_stalls_on_ascent_direction():
+def test_update_q_stalls_when_every_retracted_candidate_ascends():
     rng = np.random.default_rng(17)
     data, hp = quadratic_instance(rng)
-    state = initial_state(data, hp)
-    state.Q = np.full((data.p, hp.k), 2.0)
-    state.U_Q = np.ones((data.p, hp.k))  # gradient = rho * (Q - U_Q) = 1 everywhere
-    g = grad_Q(data, state, hp)
-    new_Q, stalled = update_Q(data, state, -g, hp)
+    state = initial_state(data, hp, q0=plant_Q(data.p, hp.k, seed=2))
+    # Q = U_Q and Lambda2 = 0 minimize the smooth Lagrangian over Q; a step
+    # that moves row 0 from group 0 to group 1, even after every halving,
+    # retracts to another feasible point, so each candidate ascends
+    g = np.zeros_like(state.Q)
+    g[0, :2] = [1e12, -1e12]
+    new_Q, stalled = update_Q(data, state, g, hp)
     assert stalled
     np.testing.assert_array_equal(new_Q, state.Q)
+    assert new_Q is not state.Q
 
 
 # --------------------------------------------------------- duals, multipliers
@@ -592,7 +568,6 @@ def test_update_duals_match_prox_oracles():
 def test_update_multipliers_fixed_point():
     rng = np.random.default_rng(21)
     data, hp = quadratic_instance(rng)
-    hp = dataclasses.replace(hp, orthogonality=True)
     Q = plant_Q(data.p, hp.k, seed=1)
     W = rng.standard_normal((hp.k, data.n_tasks))
     state = SolverState(
@@ -668,15 +643,6 @@ def test_residuals_match_independent_norms():
     )
     assert abs(p_res - want_p) < 1e-10
     assert abs(d_res - want_d) < 1e-10
-
-
-def test_residuals_orthogonality_flag_drops_gram_term():
-    rng = np.random.default_rng(26)
-    _, state, hp = random_instance(rng)
-    with_orth, _ = residuals(state, state, hp)
-    without, _ = residuals(state, state, dataclasses.replace(hp, orthogonality=False))
-    gap = orthogonality_gap(state.Q)
-    assert abs(with_orth - without - gap) < 1e-10
 
 
 # -------------------------------------------------------------- initializers
@@ -790,15 +756,11 @@ def test_fit_zero_labels_drives_weights_to_zero():
         graph, 4, 4,
     )
     hp = Hyperparams(k=3, max_iter=500)
-    assert np.max(np.abs(fit(data, hp).W)) < 1e-6
-    # with zero labels the Q step only pulls Q toward its soft-thresholded copy, a
-    # uniform shrink of each column that the retraction undoes, so Q and the
-    # objective stay at the start; the clip-only step keeps the shrink
-    no_orth = dataclasses.replace(hp, orthogonality=False)
-    model = fit(data, no_orth)
-    initial = objective(data, initial_state(data, no_orth).Q, np.zeros((3, 2)), no_orth)
+    model = fit(data, hp)
     assert np.max(np.abs(model.W)) < 1e-6
-    assert objective(data, model.Q, model.W, no_orth) < initial
+    # with zero labels the Q step only pulls Q toward its soft-thresholded copy, a
+    # uniform shrink of each column that the retraction undoes, so Q stays at the start
+    np.testing.assert_allclose(model.Q, initial_state(data, hp).Q, rtol=0, atol=1e-12)
 
 
 def test_fit_synthetic_objective_trend_and_residual_shrink():
@@ -808,15 +770,15 @@ def test_fit_synthetic_objective_trend_and_residual_shrink():
     model = fit(train, hp)
     assert model.converged
     # the objective after each iteration, replayed by fits cut short there
-    hist = np.array([objective(train, m.Q, m.W, hp) for m in (
-        fit(train, dataclasses.replace(hp, max_iter=it)) for it in range(1, model.iterations + 1))])
+    cut = [fit(train, dataclasses.replace(hp, max_iter=it)) for it in range(1, model.iterations + 1)]
+    hist = np.array([objective(train, m.Q, m.W, hp) for m in cut])
     # the trend is downward: transient bumps stay within 10% of the best
     # value so far, and the tail ends below the iteration-5 value
     running_min = np.minimum.accumulate(hist)
     bumps = (hist[5:] - running_min[5:]) / np.abs(running_min[5:])
     assert np.max(bumps) < 0.10
     assert hist[-1] < hist[4]
-    p_first = model.residual_history[0][0]
+    p_first = cut[0].final_residuals[0]
     p_final = model.final_residuals[0]
     assert p_first / p_final >= 100.0
 
@@ -840,7 +802,6 @@ def test_fit_stopping_contract():
     assert model.converged
     p_res, d_res = model.final_residuals
     assert p_res < hp_loose.eps_primal and d_res < hp_loose.eps_dual
-    assert len(model.residual_history) == model.iterations
 
 
 def test_fit_decoupled_invariant_to_adjacency():
@@ -1001,6 +962,6 @@ def test_hyperparams_validation():
                        ("eps_dual", None), ("lambda_conn", False), ("rho", 10**400)):
         with pytest.raises(InputError, match=f"{field} must be a finite number"):
             Hyperparams(**{field: bad})
-    with pytest.raises(InputError, match="orthogonality"):
-        Hyperparams(orthogonality="no")
+    with pytest.raises(TypeError, match="orthogonality"):  # retired: every Q step retracts
+        Hyperparams(orthogonality=True)
     assert Hyperparams(k=np.int64(3), lambda_w=1, rho=np.float64(2.0)).k == 3

@@ -662,6 +662,13 @@ def test_model_errors(tmp_path):
     ("hyperparams", [], "bad value for 'hyperparams'"),
     ("iterations", -5.7, "bad value for 'iterations'"),
     ("converged", "no", "bad value for 'converged'"),
+    ("Q", [["1", "0"], ["0", "1"], ["0", "0"]], "bad value for 'Q'"),
+    ("W", [[True], [1]], "bad value for 'W'"),
+    ("W", True, "bad value for 'W'"),
+    ("residuals", {"primal": "0.001", "dual": 0}, "bad value for 'residuals'"),
+    ("residuals", {"primal": 0, "dual": True}, "bad value for 'residuals'"),
+    ("residuals", {"primal": float("nan"), "dual": 0}, "bad value for 'residuals'"),
+    ("residuals", {"primal": 0, "dual": -1.0}, "bad value for 'residuals'"),
 ])
 def test_trained_model_rejects_bad_fields(tmp_path, field, value, message):
     obj = {"p": 3, "k": 2, "tasks": ["a"], "Q": [[1, 0], [0, 1], [0, 0]], "W": [[1], [1]],
@@ -678,6 +685,11 @@ def test_trained_model_rejects_bad_fields(tmp_path, field, value, message):
     ("weights", [[1.0, 2.0]], "shapes inconsistent"),
     ("p", True, "bad value for 'p'"),
     ("lambda", float("inf"), "bad value for 'lambda'"),
+    ("lambda", "10", "bad value for 'lambda'"),
+    ("lambda", True, "bad value for 'lambda'"),
+    ("weights", [["1.0", "2.0"], ["3.0", "4.0"]], "bad value for 'weights'"),
+    ("weights", [[1.0, True], [3.0, 4.0]], "bad value for 'weights'"),
+    ("weights", "1.0", "bad value for 'weights'"),
 ])
 def test_baseline_model_rejects_bad_fields(tmp_path, field, value, message):
     obj = {"kind": "ridge", "p": 2, "tasks": ["a", "b"], "weights": [[1.0, 2.0], [3.0, 4.0]],
@@ -707,22 +719,28 @@ def test_read_hyperparams(tmp_path):
 
 
 def test_hyperparams_round_trip_through_a_model_file(tmp_path):
-    """A model file keeps all ten hyperparameters; a hyperparameter file
-    naming any other key, the retired ones among them, exits naming it."""
+    """A model file keeps all nine hyperparameters; a hyperparameter file
+    or a model file naming any other key, the retired ones among them, is
+    rejected, the hyperparameter file naming the key."""
     hp = Hyperparams(lambda_w=0.3, lambda_q=0.02, lambda_conn=2.0, rho=0.5, k=2, alpha=0.04,
-                     max_iter=7, eps_primal=1e-4, eps_dual=2e-4, orthogonality=False)
+                     max_iter=7, eps_primal=1e-4, eps_dual=2e-4)
     model = TrainedModel(Q=np.eye(3)[:, :2], W=np.ones((2, 1)), tasks=("a",), hyperparams=hp,
                          iterations=1, final_residuals=(0.0, 0.0))
     path = tmp_path / "model.json"
     write_model(path, model)
-    assert len(json.loads(path.read_text(encoding="utf-8"))["hyperparams"]) == 10
+    saved = json.loads(path.read_text(encoding="utf-8"))
+    assert len(saved["hyperparams"]) == 9
     assert read_model(path).hyperparams == hp
-    for key in ("seed", "inner_w_solve", "bogus"):
+    for key in ("seed", "inner_w_solve", "orthogonality", "bogus"):
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps({"k": 3, key: 1}), encoding="utf-8")
         with pytest.raises(InputError) as info:
             read_hyperparams(path)
         assert str(info.value).startswith(f"{path}: bad hyperparameter set: ") and key in str(info.value)
+        path.write_text(json.dumps({**saved, "hyperparams": {**saved["hyperparams"], key: True}}),
+                        encoding="utf-8")
+        with pytest.raises(InputError, match="bad value for 'hyperparams'"):
+            read_model(path)
 
 
 def test_read_synth_config(tmp_path):
