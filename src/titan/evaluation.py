@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .baselines import BaselineModel
-from .errors import InputError
+from .errors import InputError, NumericalAbort
 from .features import MultiTaskDataset
 from .solver import Hyperparams, TrainedModel, fit, predict, structured_q0
 
@@ -93,19 +93,31 @@ def _task_predictions(model, data: MultiTaskDataset):
     return [(td.Y, predict(model, td.X, td.road_id)) for td in data.tasks]
 
 
+def _scored(metric, model, where, y, yhat):
+    """metric(y, yhat) in fit's error state: a float overflow, invalid
+    operation or division by zero raises NumericalAbort naming the
+    model's method and `where` it was scored."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return metric(y, yhat)
+    except FloatingPointError as exc:
+        raise NumericalAbort(f"{exc} scoring {model.label} on {where}") from None
+
+
 def evaluate(model, data: MultiTaskDataset) -> MetricsReport:
     """Score a trained model (grouped or baseline) on every task."""
     pairs = _task_predictions(model, data)
-    per_task = {td.road_id: measure(y, yhat) for td, (y, yhat) in zip(data.tasks, pairs)}
+    per_task = {td.road_id: _scored(measure, model, f"task {td.road_id!r}", y, yhat)
+                for td, (y, yhat) in zip(data.tasks, pairs)}
     ys, yhats = zip(*pairs)
-    overall = measure(np.concatenate(ys), np.concatenate(yhats))
+    overall = _scored(measure, model, "all tasks", np.concatenate(ys), np.concatenate(yhats))
     return MetricsReport(method=model.label, per_task=per_task, k=model.k, overall=overall)
 
 
 def pooled_rmse(model, data: MultiTaskDataset):
     """Test RMSE over all tasks' pairs concatenated (full precision)."""
     ys, yhats = zip(*_task_predictions(model, data))
-    return rmse(np.concatenate(ys), np.concatenate(yhats))
+    return _scored(rmse, model, "all tasks", np.concatenate(ys), np.concatenate(yhats))
 
 
 def top_group_per_task(model: TrainedModel):

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, data_lines, read_input_text
+from .errors import InputError, NumericalAbort, data_lines, read_input_text
 from .roadnet import TaskGraph
 
 log = logging.getLogger(__name__)
@@ -266,11 +266,9 @@ def assemble_dataset(
 
 
 def standardize_columns(train: MultiTaskDataset, test: MultiTaskDataset):
-    """Center/scale every feature column by pooled train statistics."""
-    pooled = np.vstack([td.X for td in train.tasks])
-    mean = pooled.mean(axis=0)
-    std = pooled.std(axis=0)
-    std[std == 0] = 1.0
+    """Center/scale every feature column by pooled train statistics, in
+    fit's error state: a float overflow, invalid operation or division by
+    zero raises NumericalAbort naming the standardization."""
 
     def apply(ds):
         tasks = tuple(
@@ -278,63 +276,56 @@ def standardize_columns(train: MultiTaskDataset, test: MultiTaskDataset):
         )
         return MultiTaskDataset(tasks, ds.graph, ds.h, ds.t)
 
-    return apply(train), apply(test)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            pooled = np.vstack([td.X for td in train.tasks])
+            mean = pooled.mean(axis=0)
+            std = pooled.std(axis=0)
+            std[std == 0] = 1.0
+            return apply(train), apply(test)
+    except FloatingPointError as exc:
+        raise NumericalAbort(f"{exc} in the column standardization") from None
 
 
-def parse_incidents_csv(text, source="<incidents>"):
-    """Parse the incident CSV (header incident_id,road_id,verification_index,duration_minutes)."""
-    lines = text.splitlines()
+def load_incidents_csv(path):
+    """The incident records of an incident CSV: the header
+    ``incident_id,road_id,verification_index,duration_minutes``, then one
+    incident a line; blank and ``#`` lines after the header are skipped."""
+    lines = read_input_text(path).splitlines()
     if not lines:
-        raise InputError(f"{source}: empty incident file")
+        raise InputError(f"{path}: empty incident file")
     header = "incident_id,road_id,verification_index,duration_minutes"
     if lines[0].strip() != header:
-        raise InputError(f"{source}:1: expected header {header!r}")
+        raise InputError(f"{path}:1: expected header {header!r}")
     records = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(lines[1:], start=2):
         parts = line.split(",")
-        if len(parts) != 4:
-            raise InputError(f"{source}:{lineno}: expected 4 fields, got {len(parts)}")
         try:
-            records.append(
-                IncidentRecord(
-                    incident_id=parts[0],
-                    road_id=parts[1],
-                    verification_index=int(parts[2]),
-                    duration_minutes=float(parts[3]),
-                )
-            )
-        except (ValueError, InputError) as exc:
-            raise InputError(f"{source}:{lineno}: {exc}") from None
+            if len(parts) != 4:
+                raise InputError(f"expected 4 fields, got {len(parts)}")
+            records.append(IncidentRecord(parts[0], parts[1], int(parts[2]), float(parts[3])))
+        except ValueError as exc:  # InputError included
+            raise InputError(f"{path}:{lineno}: {exc}") from None
     return records
 
 
-def parse_speed_csv(text, sensor_id, source="<speeds>"):
-    """Parse a per-road speed file: ``# start_index=<int>`` then one reading per line."""
-    lines = text.splitlines()
+def load_speed_csv(path, sensor_id):
+    """A per-road speed file as a SpeedSeries: ``# start_index=<int>``,
+    then one reading a line; blank and ``#`` lines are skipped."""
+    lines = read_input_text(path).splitlines()
     if not lines or not lines[0].strip().startswith("# start_index="):
-        raise InputError(f"{source}:1: expected '# start_index=<int>' header")
+        raise InputError(f"{path}:1: expected '# start_index=<int>' header")
     try:
         start = int(lines[0].strip().split("=", 1)[1])
     except ValueError:
-        raise InputError(f"{source}:1: bad start_index value") from None
+        raise InputError(f"{path}:1: bad start_index value") from None
     readings = []
     for lineno, line in data_lines(lines[1:], start=2):
         try:
             readings.append(float(line))
         except ValueError:
-            raise InputError(f"{source}:{lineno}: bad speed reading {line!r}") from None
+            raise InputError(f"{path}:{lineno}: bad speed reading {line!r}") from None
     try:
         return SpeedSeries(sensor_id=sensor_id, readings=np.asarray(readings), start_index=start)
     except InputError as exc:
-        raise InputError(f"{source}: {exc}") from None
-
-
-def load_incidents_csv(path):
-    return parse_incidents_csv(read_input_text(path), source=str(path))
-
-
-def load_speed_csv(path, sensor_id):
-    return parse_speed_csv(read_input_text(path), sensor_id, source=str(path))
+        raise InputError(f"{path}: {exc}") from None

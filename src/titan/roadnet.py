@@ -10,7 +10,7 @@ line graph of the road network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -20,29 +20,30 @@ from .errors import InputError, data_lines, read_input_text
 
 @dataclass(frozen=True, eq=False)
 class TaskGraph:
-    """Tasks (roads) plus their symmetric 0/1 adjacency matrix.
+    """Tasks (roads) plus the road-id pairs that couple them: a line
+    graph, a dataset's `graph.edges`, or a synthetic topology.
 
     ``tasks`` fixes the task indexing used by every downstream matrix;
-    ``adjacency[i, j] == 1`` iff roads i and j share an intersection.
+    the read-only ``adjacency[i, j] == 1`` iff roads i and j share an
+    intersection.
     """
 
     tasks: tuple
-    adjacency: np.ndarray = field(repr=False)
+    edges: InitVar = ()
+    adjacency: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        adj = np.asarray(self.adjacency)
-        t = len(self.tasks)
-        if len(set(self.tasks)) != t:
+    def __post_init__(self, edges):
+        tasks = tuple(self.tasks)
+        index = {r: i for i, r in enumerate(tasks)}
+        if len(index) != len(tasks):
             raise InputError("duplicate road id in task list")
-        if adj.shape != (t, t):
-            raise InputError(f"adjacency shape {adj.shape} does not match {t} tasks")
-        if not np.array_equal(adj, adj.T):
-            raise InputError("adjacency must be symmetric")
-        if np.any(np.diag(adj) != 0):
-            raise InputError("adjacency must have zero diagonal")
-        if not np.all((adj == 0) | (adj == 1)):
-            raise InputError("adjacency entries must be 0 or 1")
-        object.__setattr__(self, "adjacency", adj.astype(float))
+        adj = np.zeros((len(tasks), len(tasks)))
+        for a, b in edges:
+            check_task_edge(index, a, b)
+            adj[index[a], index[b]] = adj[index[b], index[a]] = 1.0
+        adj.flags.writeable = False
+        object.__setattr__(self, "tasks", tasks)
+        object.__setattr__(self, "adjacency", adj)
 
     @property
     def n_tasks(self):
@@ -75,19 +76,6 @@ class TaskGraph:
             for j in range(i + 1, t)
             if self.adjacency[i, j] == 1
         ]
-
-    @staticmethod
-    def from_task_edges(tasks, edges):
-        """Build a task graph from road-id pairs: a line graph, a
-        dataset's `graph.edges`, or a synthetic topology."""
-        tasks = tuple(tasks)
-        index = {r: i for i, r in enumerate(tasks)}
-        adj = np.zeros((len(tasks), len(tasks)))
-        for a, b in edges:
-            check_task_edge(index, a, b)
-            adj[index[a], index[b]] = 1.0
-            adj[index[b], index[a]] = 1.0
-        return TaskGraph(tasks=tasks, adjacency=adj)
 
 
 def check_road_id(road):
@@ -132,35 +120,29 @@ def build_line_graph(edges) -> TaskGraph:
     endpoints = _road_endpoints(edges)
     tasks = sorted(endpoints)
     pairs = [(r, s) for i, r in enumerate(tasks) for s in tasks[i + 1:] if endpoints[r] & endpoints[s]]
-    return TaskGraph.from_task_edges(tasks, pairs)
-
-
-def parse_edge_list(text):
-    """Parse the edge-list text format into (vertex_a, vertex_b, road_id)
-    triples.
-
-    One edge per line, ``<vertexA> <vertexB> <roadId>`` separated by
-    whitespace; blank lines and ``#`` comment lines are ignored. The
-    edges must form a network that :func:`build_line_graph` accepts.
-    """
-    edges = []
-    for lineno, line in data_lines(text.splitlines()):
-        parts = line.split()
-        if len(parts) != 3:
-            raise InputError(f"edge list line {lineno}: expected 3 fields, got {len(parts)}: {line!r}")
-        try:
-            check_road_id(parts[2])
-        except InputError as exc:
-            raise InputError(f"edge list line {lineno}: {exc}") from None
-        edges.append(tuple(parts))
-    _road_endpoints(edges)  # here too, so that load_edge_list's errors name the file
-    return edges
+    return TaskGraph(tasks, pairs)
 
 
 def load_edge_list(path):
-    """Read an edge-list file's triples (see :func:`parse_edge_list`)."""
-    text = read_input_text(path)
+    """Read an edge-list file into (vertex_a, vertex_b, road_id) triples.
+
+    One edge per line, ``<vertexA> <vertexB> <roadId>`` separated by
+    whitespace; blank lines and ``#`` comment lines are ignored. The
+    edges must form a network that :func:`build_line_graph` accepts;
+    every error names the file, and the line where it has one.
+    """
+    edges = []
+    for lineno, line in data_lines(read_input_text(path).splitlines()):
+        parts = line.split()
+        try:
+            if len(parts) != 3:
+                raise InputError(f"expected 3 fields, got {len(parts)}: {line!r}")
+            check_road_id(parts[2])
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
+        edges.append(tuple(parts))
     try:
-        return parse_edge_list(text)
+        _road_endpoints(edges)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
+    return edges

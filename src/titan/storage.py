@@ -27,6 +27,7 @@ import dataclasses
 import json
 import math
 import os
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -168,7 +169,7 @@ def write_dataset(root, graph: TaskGraph, h, t, rows, tasks, truth: GroundTruth 
             del pair, td  # before the next task is drawn
     if truth is not None:
         _dump_keys(_GROUND_TRUTH, truth, root / "ground_truth.json")
-    _dump_json({"tasks": list(graph.tasks), "h": h, "t": t, "rows": rows}, root / "tasks.json")
+    _dump_keys(_DATASET, {"tasks": graph.tasks, "h": h, "t": t, "rows": rows}, root / "tasks.json")
     return root
 
 
@@ -179,44 +180,15 @@ def in_memory(train: MultiTaskDataset, test: MultiTaskDataset):
     return train.graph, train.h, train.t, rows, zip(train.tasks, test.tasks)
 
 
-def _row_counts(rows, n_tasks):
-    """tasks.json's `rows`: each split's list of one count >= 1 a task."""
-    if not isinstance(rows, dict) or set(rows) != set(SPLITS):
-        raise ValueError("not an object keyed by split")
-    for counts in rows.values():
-        if not isinstance(counts, list) or len(counts) != n_tasks:
-            raise ValueError("not one count a task")
-        for n in counts:
-            _positive_int(n)
-    return rows
-
-
 def read_task_graph(root):
     """tasks.json and graph.edges: (graph, h, t, rows)."""
     root = Path(root)
     meta_path = root / "tasks.json"
-    meta = _load_json(meta_path)
-    for key in ("tasks", "h", "t", "rows"):
-        if key not in meta:
-            raise InputError(f"{meta_path}: missing key {key!r}")
-    if not isinstance(meta["tasks"], list) or not meta["tasks"]:
-        raise InputError(f"{meta_path}: 'tasks' must be a non-empty list of road ids")
-    for road in meta["tasks"]:
-        try:
-            check_road_id(road)
-        except InputError as exc:
-            raise InputError(f"{meta_path}: {exc}") from None
-    try:
-        h, t = _positive_int(meta["h"]), _positive_int(meta["t"])
-    except ValueError:
-        raise InputError(f"{meta_path}: 'h' and 't' must be integers >= 1") from None
-    try:
-        rows = _row_counts(meta["rows"], len(meta["tasks"]))
-    except ValueError:
-        raise InputError(f"{meta_path}: 'rows' must map 'train' and 'test' to one integer >= 1 "
-                         "per task") from None
+    v = _read_keys(meta_path, _load_json(meta_path), _DATASET)
+    if any(len(counts) != len(v["tasks"]) for counts in v["rows"].values()):
+        raise InputError(f"{meta_path}: bad value for 'rows'")
     edge_path = root / "graph.edges"
-    roads, edges = set(meta["tasks"]), []
+    roads, edges = set(v["tasks"]), []
     for lineno, line in data_lines(read_input_text(edge_path).splitlines()):
         parts = line.split()
         try:
@@ -225,12 +197,12 @@ def read_task_graph(root):
             check_task_edge(roads, *parts)
         except InputError as exc:
             raise InputError(f"{edge_path}:{lineno}: {exc}") from None
-        edges.append((parts[0], parts[1]))
+        edges.append(parts)
     try:
-        graph = TaskGraph.from_task_edges(tuple(meta["tasks"]), edges)
+        graph = TaskGraph(v["tasks"], edges)
     except InputError as exc:  # every edge is checked, so it is the task list
         raise InputError(f"{meta_path}: {exc}") from None
-    return graph, h, t, rows
+    return graph, v["h"], v["t"], v["rows"]
 
 
 def read_split(root, split):
@@ -275,6 +247,27 @@ def _bool(v):
     return v
 
 
+def _task_list(v):
+    """tasks.json's `tasks`: a non-empty list of road ids."""
+    if not isinstance(v, list) or not v:
+        raise ValueError("not a non-empty list")
+    for road in v:
+        check_road_id(road)
+    return tuple(v)
+
+
+def _row_counts(rows):
+    """tasks.json's `rows`: each split's list of counts >= 1."""
+    if not isinstance(rows, dict) or set(rows) != set(SPLITS):
+        raise ValueError("not an object keyed by split")
+    for counts in rows.values():
+        if not isinstance(counts, list):
+            raise ValueError("not a list of counts")
+        for n in counts:
+            _positive_int(n)
+    return rows
+
+
 def _road_list(v):
     if not isinstance(v, list) or not all(isinstance(road, str) for road in v):
         raise ValueError("not a list of road ids")
@@ -304,6 +297,12 @@ _BASELINE_MODEL = (
     ("lambda", lambda m: m.lam, _finite_real),
 )
 _GROUND_TRUTH = _GROUPED_MODEL[2:5]  # tasks, Q and W, written and read as a model's
+_DATASET = (  # tasks.json, written from a dict of its keys
+    ("tasks", itemgetter("tasks"), _task_list),
+    ("h", itemgetter("h"), _positive_int),
+    ("t", itemgetter("t"), _positive_int),
+    ("rows", itemgetter("rows"), _row_counts),
+)
 
 
 def _dump_keys(keys, obj, path):

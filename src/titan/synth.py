@@ -107,7 +107,7 @@ def make_task_graph(config: SynthConfig) -> TaskGraph:
         edges = [(names[i], names[i + 1]) for i in range(config.T - 1)]
     else:  # complete
         edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
-    return TaskGraph.from_task_edges(names, edges)
+    return TaskGraph(names, edges)
 
 
 def plant_Q(p, k, seed):

@@ -320,7 +320,7 @@ def random_dataset(rng, T, p, n_range=(5, 12), edge_prob=0.5):
         for j in range(i + 1, T)
         if rng.random() < edge_prob
     ]
-    graph = TaskGraph.from_task_edges(names, edges)
+    graph = TaskGraph(names, edges)
     tasks = []
     for name in names:
         n = int(rng.integers(*n_range))

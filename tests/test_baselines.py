@@ -33,7 +33,7 @@ def single_task(rng, n=50, p=6, sparse=False):
 def one_task_dataset(task):
     """A MultiTaskDataset holding the single TaskDataset `task`."""
     h = task.p // 2
-    return MultiTaskDataset((task,), TaskGraph.from_task_edges((task.road_id,), []), h, task.p - h)
+    return MultiTaskDataset((task,), TaskGraph((task.road_id,), []), h, task.p - h)
 
 
 def ridge_one(task, lam):
@@ -204,7 +204,7 @@ def test_nmtl_optimal_against_random_probes():
 def test_nmtl_rows_share_support_across_tasks():
     rng = np.random.default_rng(14)
     names = ("a", "b", "c")
-    graph = TaskGraph.from_task_edges(names, [("a", "b")])
+    graph = TaskGraph(names, [("a", "b")])
     tasks = []
     for nm in names:
         X = rng.standard_normal((40, 10))

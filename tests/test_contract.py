@@ -18,8 +18,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from titan import baselines, solver, storage
+from titan import baselines, evaluation, solver, storage
 from titan.cli import main
+from titan.errors import NumericalAbort
 
 # Scalars and containers that a JSON field of any type might hold instead.
 JSON_JUNK = [None, True, False, 0, 1, 2, 3, -1, 13, 0.5, 2.5, 1e-300, 1e300, 2**70,
@@ -259,9 +260,9 @@ DATASET_FAULTS = {
     "repeated road": (repeat_a_road, "tasks.json", "duplicate road id in task list"),
     "no rows": (drop_rows, "tasks.json", "missing key 'rows'"),
     "bool count": (lambda ds: edit_tasks_json(ds, rows={"train": [14, True, 14], "test": [6, 6, 6]}),
-                   "tasks.json", "'rows' must map 'train' and 'test' to one integer >= 1 per task"),
+                   "tasks.json", "bad value for 'rows'"),
     "extra split": (lambda ds: edit_tasks_json(ds, rows={"train": [14] * 3, "test": [6] * 3, "dev": []}),
-                    "tasks.json", "'rows' must map 'train' and 'test' to one integer >= 1 per task"),
+                    "tasks.json", "bad value for 'rows'"),
     "counts miss the values": (lambda ds: edit_tasks_json(ds, rows={"train": [14, 14, 13], "test": [6] * 3}),
                                "train/values.npy", "not a float64 .npy vector of the 287 values"),
 }
@@ -384,7 +385,8 @@ def test_window_sizes_in_tasks_json_must_be_positive_integers(world, command, h,
     write_json(bad / "tasks.json", {**meta, "h": h, "t": t})
     code, err = run_cli(DATASET_COMMANDS[command](root) + [bad / "out", "--dataset", bad])
     assert code == 2, (code, err)
-    assert err.startswith(f"error: {bad / 'tasks.json'}: 'h' and 't' must be integers >= 1"), err
+    key = "t" if type(h) is int and h >= 1 else "h"  # the table checks h first
+    assert err == f"error: {bad / 'tasks.json'}: bad value for {key!r}\n", err
     assert not (bad / "out").exists()
 
 
@@ -401,6 +403,76 @@ def test_non_finite_duration_exits_2_naming_the_line(world):
     assert code == 2, (code, err)
     assert err.startswith(f"error: {incidents}:5: ") and "Traceback" not in err, err
     assert not out.exists()
+
+
+def assemble_argv(raw, out, incidents=None, speeds=None, extra=()):
+    return ["assemble", "--edges", raw / "roads.edges", "--incidents", incidents or raw / "incidents.csv",
+            "--speeds-dir", speeds or raw / "speeds", "--h", 2, "--t", 1, *extra, "--out", out]
+
+
+def test_empty_incident_file_exits_2_naming_it(world):
+    root, _ = world
+    incidents = root / "raw" / "empty-incidents.csv"
+    incidents.write_text("", encoding="utf-8")
+    out = root / "empty-assembled"
+    code, err, stdout = run_cli_streams(assemble_argv(root / "raw", out, incidents=incidents))
+    assert (code, err, stdout) == (2, f"error: {incidents}: empty incident file\n", "")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reading", ["nan", "-1.5"])
+def test_speed_file_with_a_bad_reading_exits_2_naming_it(world, reading):
+    root, _ = world
+    speeds = root / f"speeds-{reading}"
+    shutil.copytree(root / "raw" / "speeds", speeds)
+    text = (speeds / "r2.csv").read_text(encoding="utf-8")
+    (speeds / "r2.csv").write_text(text + f"{reading}\n", encoding="utf-8")
+    out = root / f"assembled-{reading}"
+    code, err, stdout = run_cli_streams(assemble_argv(root / "raw", out, speeds=speeds))
+    assert (code, stdout) == (2, ""), (code, err)
+    assert err == f"error: {speeds / 'r2.csv'}: series 'r2': readings must be finite and >= 0\n", err
+    assert not out.exists()
+
+
+def test_comment_lines_in_the_incident_file_are_skipped(world):
+    root, _ = world
+    raw = root / "raw"
+    header, *lines = (raw / "incidents.csv").read_text(encoding="utf-8").splitlines()
+    incidents = raw / "noted-incidents.csv"
+    incidents.write_text("\n".join([header, "# one incident a line", *lines[:5], "", "  # and a gap",
+                                    *lines[5:]]) + "\n", encoding="utf-8")
+    plain, noted = root / "plain-assembled", root / "noted-assembled"
+    assert run_cli(assemble_argv(raw, plain)) == (0, "")
+    assert run_cli(assemble_argv(raw, noted, incidents=incidents)) == (0, "")
+    files = sorted(path.relative_to(plain) for path in plain.rglob("*") if path.is_file())
+    assert files == sorted(path.relative_to(noted) for path in noted.rglob("*") if path.is_file())
+    assert all((plain / f).read_bytes() == (noted / f).read_bytes() for f in files)
+
+
+def test_standardize_overflow_exits_3_and_writes_no_dataset(tmp_path):
+    """Two roads of 20 incidents; every window of road r1 holds a finite
+    reading of 1e200, whose square is past the largest double."""
+    speeds = tmp_path / "speeds"
+    speeds.mkdir()
+    for road in ("r1", "r2"):
+        readings = [str(30 + i % 7) for i in range(30)]
+        if road == "r1":
+            readings[4] = "1e200"
+        (speeds / f"{road}.csv").write_text("# start_index=0\n" + "\n".join(readings) + "\n", encoding="utf-8")
+    rows = [f"i{n},{road},{5 if road == 'r1' else 5 + n},{20 + n}" for road in ("r1", "r2") for n in range(20)]
+    incidents = tmp_path / "incidents.csv"
+    incidents.write_text("\n".join(["incident_id,road_id,verification_index,duration_minutes", *rows]) + "\n",
+                         encoding="utf-8")
+    (tmp_path / "roads.edges").write_text("v0 v1 r1\nv1 v2 r2\n", encoding="utf-8")
+    out = tmp_path / "assembled"
+    unscaled = assemble_argv(tmp_path, tmp_path / "unscaled", incidents=incidents, speeds=speeds)
+    assert run_cli(unscaled)[0] == 0  # without --standardize the reading is valid input
+    code, err, stdout = run_cli_streams(assemble_argv(tmp_path, out, incidents=incidents, speeds=speeds,
+                                                      extra=["--standardize"]))
+    assert code == 3, (code, err)
+    assert err.startswith("numerical failure: overflow encountered in ") and err.count("\n") == 1, err
+    assert err.endswith(" in the column standardization\n") and stdout == "", err
+    assert not (out / "tasks.json").exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "assemble"])
@@ -441,6 +513,22 @@ def test_overflowing_prediction_exits_3(world):
         assert code == 3, (model, code, err)
         assert err == "numerical failure: non-finite prediction for task 'r00'\n" and stdout == "", (model, err)
         assert not out.exists()
+
+
+def test_overflowing_metric_exits_3_and_writes_no_report(world):
+    """Finite weights of 1e200 whose predictions are finite but whose
+    squared errors are past the largest double."""
+    root, ds = world
+    model = json.loads((root / "ridge.json").read_text(encoding="utf-8"))
+    huge = write_json(root / "ridge-huge.json",
+                      {**model, "weights": [[1e200] * len(row) for row in model["weights"]]})
+    out = root / "report-huge.csv"
+    code, err, stdout = run_cli_streams(["evaluate", "--dataset", ds, "--model", huge, "--out", out])
+    assert code == 3, (code, err)
+    assert err == "numerical failure: overflow encountered in multiply scoring ridge on task 'r00'\n", err
+    assert stdout == "" and not out.exists()
+    with pytest.raises(NumericalAbort, match="scoring ridge on all tasks$"):  # train-baseline's grid score
+        evaluation.pooled_rmse(storage.read_model(huge), storage.read_split(ds, "test"))
 
 
 @pytest.mark.parametrize("command", ["train", "sweep-k"])

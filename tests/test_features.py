@@ -13,8 +13,8 @@ from titan.features import (
     TaskDataset,
     assemble_dataset,
     construct_features,
-    parse_incidents_csv,
-    parse_speed_csv,
+    load_incidents_csv,
+    load_speed_csv,
     split_rows,
     standardize_columns,
 )
@@ -32,7 +32,7 @@ def incidents_for(road, count, tau=5, duration=30.0):
 
 
 def two_road_graph():
-    return TaskGraph.from_task_edges(("a", "b"), [("a", "b")])
+    return TaskGraph(("a", "b"), [("a", "b")])
 
 
 # ------------------------------------------------------------------- windows
@@ -128,7 +128,7 @@ def test_split_rows_floor_and_minimum():
 
 
 def test_assemble_ten_incidents_split():
-    graph = TaskGraph.from_task_edges(("a",), [])
+    graph = TaskGraph(("a",), [])
     s = {"a": series(np.arange(50.0) + 1)}
     train, test = assemble_dataset(incidents_for("a", 10), s, graph, 3, 2)
     assert train.tasks[0].n == 8 and test.tasks[0].n == 2
@@ -145,7 +145,7 @@ def test_assemble_per_task_split_not_pooled():
 
 
 def test_assemble_skips_out_of_window_incidents(caplog):
-    graph = TaskGraph.from_task_edges(("a",), [])
+    graph = TaskGraph(("a",), [])
     s = {"a": series(np.arange(50.0) + 1)}
     incidents = incidents_for("a", 10) + [IncidentRecord("late", "a", 500, 12.0)]
     with caplog.at_level(logging.INFO, logger="titan.features"):
@@ -170,21 +170,21 @@ def test_assemble_empty_task_rejected():
 
 
 def test_assemble_single_usable_incident_cannot_fill_test():
-    graph = TaskGraph.from_task_edges(("a",), [])
+    graph = TaskGraph(("a",), [])
     s = {"a": series(np.arange(50.0) + 1)}
     with pytest.raises(InputError, match="too few usable incidents"):
         assemble_dataset(incidents_for("a", 1), s, graph, 3, 2)
 
 
 def test_assemble_split_guard():
-    graph = TaskGraph.from_task_edges(("a",), [])
+    graph = TaskGraph(("a",), [])
     s = {"a": series(np.arange(50.0) + 1)}
     with pytest.raises(InputError, match="split fraction"):
         assemble_dataset(incidents_for("a", 5), s, graph, 3, 2, split=1.0)
 
 
 def test_assemble_train_test_partition_labels():
-    graph = TaskGraph.from_task_edges(("a",), [])
+    graph = TaskGraph(("a",), [])
     s = {"a": series(np.arange(80.0) + 1)}
     incidents = incidents_for("a", 12)
     train, test = assemble_dataset(incidents, s, graph, 3, 2)
@@ -211,7 +211,7 @@ def test_assemble_deterministic_for_fixed_seed():
 
 
 def test_assemble_rows_are_series_slices():
-    graph = TaskGraph.from_task_edges(("a",), [])
+    graph = TaskGraph(("a",), [])
     s = series(np.arange(90.0) * 1.5 + 2)
     incidents = [IncidentRecord(f"i{t}", "a", t, 10.0) for t in (5, 9, 20, 33)]
     train, test = assemble_dataset(incidents, {"a": s}, graph, 4, 3, split=0.5)
@@ -245,42 +245,55 @@ def test_standardize_uses_pooled_train_statistics():
 # ------------------------------------------------------------------- parsing
 
 
-def test_parse_incidents_round_trip():
+def written(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def test_parse_incidents_round_trip(tmp_path):
     text = (
         "incident_id,road_id,verification_index,duration_minutes\n"
         "i1,a,120,45.5\n"
+        "# a note\n"
         "i2,b,130,12\n"
     )
-    records = parse_incidents_csv(text)
+    records = load_incidents_csv(written(tmp_path, "inc.csv", text))
     assert [r.incident_id for r in records] == ["i1", "i2"]
     assert records[0].verification_index == 120
     assert records[1].duration_minutes == 12.0
 
 
-def test_parse_incidents_errors_name_line():
+def test_parse_incidents_errors_name_line(tmp_path):
+    def load(text):
+        return load_incidents_csv(written(tmp_path, "inc.csv", text))
+
     with pytest.raises(InputError, match="inc.csv:1"):
-        parse_incidents_csv("wrong,header\n", source="inc.csv")
+        load("wrong,header\n")
     good_header = "incident_id,road_id,verification_index,duration_minutes\n"
     with pytest.raises(InputError, match="inc.csv:2"):
-        parse_incidents_csv(good_header + "i1,a,120\n", source="inc.csv")
+        load(good_header + "i1,a,120\n")
     with pytest.raises(InputError, match="inc.csv:3"):
-        parse_incidents_csv(good_header + "i1,a,120,45\ni2,b,oops,45\n", source="inc.csv")
+        load(good_header + "i1,a,120,45\ni2,b,oops,45\n")
     with pytest.raises(InputError, match="inc.csv:2.*positive"):
-        parse_incidents_csv(good_header + "i1,a,120,-3\n", source="inc.csv")
+        load(good_header + "i1,a,120,-3\n")
 
 
-def test_parse_speed_csv():
-    s = parse_speed_csv("# start_index=42\n55.0\n54\n\n53.5\n", "a")
+def test_parse_speed_csv(tmp_path):
+    s = load_speed_csv(written(tmp_path, "a.csv", "# start_index=42\n55.0\n54\n\n53.5\n"), "a")
     assert s.start_index == 42
     np.testing.assert_array_equal(s.readings, [55.0, 54.0, 53.5])
 
 
-def test_parse_speed_csv_errors():
+def test_parse_speed_csv_errors(tmp_path):
+    def load(text):
+        return load_speed_csv(written(tmp_path, "sp.csv", text), "a")
+
     with pytest.raises(InputError, match="sp.csv:1"):
-        parse_speed_csv("55.0\n", "a", source="sp.csv")
+        load("55.0\n")
     with pytest.raises(InputError, match="sp.csv:3"):
-        parse_speed_csv("# start_index=0\n55.0\nbad\n", "a", source="sp.csv")
+        load("# start_index=0\n55.0\nbad\n")
     with pytest.raises(InputError, match="sp.csv:1"):
-        parse_speed_csv("# start_index=x\n55.0\n", "a", source="sp.csv")
+        load("# start_index=x\n55.0\n")
     with pytest.raises(InputError, match="sp.csv:5: bad speed reading"):
-        parse_speed_csv("# start_index=0\n55.0\n\n# gap\nbad\n", "a", source="sp.csv")
+        load("# start_index=0\n55.0\n\n# gap\nbad\n")

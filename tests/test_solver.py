@@ -50,7 +50,6 @@ from titan.solver import (
     update_Q,
     update_duals,
     update_multipliers,
-    w_systems,
     w_terms,
 )
 from titan.synth import SynthConfig, generate, plant_Q
@@ -85,7 +84,7 @@ def objective_oracle(data, Q, W, hp):
 def quadratic_instance(rng, p=6, k=3, T=2):
     """Dataset with X = 0: the smooth Lagrangian is a pure quadratic in Q."""
     names = tuple(f"t{i}" for i in range(T))
-    graph = TaskGraph.from_task_edges(names, [(names[0], names[1])])
+    graph = TaskGraph(names, [(names[0], names[1])])
     tasks = tuple(TaskDataset(nm, np.zeros((4, p)), rng.standard_normal(4)) for nm in names)
     data = MultiTaskDataset(tasks, graph, p // 2, p - p // 2)
     hp = Hyperparams(k=k)
@@ -138,7 +137,7 @@ def noiseless_instance(rng, T=3, p=10, k=3, n=40, scale=40.0):
     loss part is ~0: the case where c - 2 b.v + v^T S v cancels.
     """
     names = tuple(f"t{i}" for i in range(T))
-    graph = TaskGraph.from_task_edges(names, list(zip(names, names[1:])))
+    graph = TaskGraph(names, list(zip(names, names[1:])))
     Q = np.abs(rng.standard_normal((p, k)))
     W = scale * rng.standard_normal((k, T)) / np.sqrt(p)
     tasks = []
@@ -213,7 +212,7 @@ def test_gram_statistics_cached_and_read_only():
 def test_connectivity_penalty_uses_cached_laplacian_bit_for_bit():
     rng = np.random.default_rng(33)
     names = tuple(f"t{i}" for i in range(5))
-    graph = TaskGraph.from_task_edges(names, [("t0", "t1"), ("t0", "t2"), ("t2", "t3")])
+    graph = TaskGraph(names, [("t0", "t1"), ("t0", "t2"), ("t2", "t3")])
     L = graph.laplacian
     assert graph.laplacian is L
     with pytest.raises(ValueError):
@@ -253,7 +252,7 @@ def test_grad_w_all_zero_state():
 def test_grad_w_isolated_task_has_no_connectivity_term():
     rng = np.random.default_rng(5)
     names = ("a", "b", "c")
-    graph = TaskGraph.from_task_edges(names, [("a", "b")])  # c isolated
+    graph = TaskGraph(names, [("a", "b")])  # c isolated
     tasks = tuple(TaskDataset(nm, rng.standard_normal((5, 6)), rng.standard_normal(5)) for nm in names)
     data = MultiTaskDataset(tasks, graph, 3, 3)
     state = random_state(rng, 6, 2, 3)
@@ -318,7 +317,7 @@ def test_grad_q_matches_finite_differences():
 def test_solve_w_exact_scalar_case():
     rng = np.random.default_rng(10)
     names = ("a",)
-    graph = TaskGraph.from_task_edges(names, [])
+    graph = TaskGraph(names, [])
     X = rng.standard_normal((5, 4))
     Y = rng.standard_normal(5)
     data = MultiTaskDataset((TaskDataset("a", X, Y),), graph, 2, 2)
@@ -380,7 +379,7 @@ def test_sweep_w_matches_per_task_linalg_solve_bit_for_bit(kind):
     rng = np.random.default_rng(sorted(GRAPH_EDGES).index(kind))
     for T, p, k in [(2, 4, 1), (5, 8, 2), (7, 12, 3), (12, 10, 5), (24, 30, 7)]:
         names = tuple(f"t{i}" for i in range(T))
-        graph = TaskGraph.from_task_edges(names, [(names[i], names[j]) for i, j in GRAPH_EDGES[kind](T)])
+        graph = TaskGraph(names, [(names[i], names[j]) for i, j in GRAPH_EDGES[kind](T)])
         tasks = []
         for nm in names:
             n = int(rng.integers(k, 3 * p))
@@ -737,7 +736,7 @@ def test_fit_unpenalized_single_task_matches_least_squares():
     p, n = 8, 60
     X = rng.standard_normal((n, p))
     Y = X @ rng.standard_normal(p) + 0.1 * rng.standard_normal(n)
-    graph = TaskGraph.from_task_edges(("solo",), [])
+    graph = TaskGraph(("solo",), [])
     data = MultiTaskDataset((TaskDataset("solo", X, Y),), graph, 4, 4)
     hp = Hyperparams(lambda_w=0.0, lambda_q=0.0, lambda_conn=0.0, k=p,
                      eps_primal=1e-6, eps_dual=1e-6, max_iter=5000)
@@ -750,7 +749,7 @@ def test_fit_unpenalized_single_task_matches_least_squares():
 def test_fit_zero_labels_drives_weights_to_zero():
     rng = np.random.default_rng(43)
     X = rng.standard_normal((30, 8))
-    graph = TaskGraph.from_task_edges(("a", "b"), [("a", "b")])
+    graph = TaskGraph(("a", "b"), [("a", "b")])
     data = MultiTaskDataset(
         (TaskDataset("a", X, np.zeros(30)), TaskDataset("b", X, np.zeros(30))),
         graph, 4, 4,
@@ -808,8 +807,8 @@ def test_fit_decoupled_invariant_to_adjacency():
     rng = np.random.default_rng(44)
     names = ("a", "b", "c")
     tasks = tuple(TaskDataset(nm, rng.standard_normal((20, 8)), rng.standard_normal(20)) for nm in names)
-    dense = TaskGraph.from_task_edges(names, [("a", "b"), ("b", "c"), ("a", "c")])
-    empty = TaskGraph.from_task_edges(names, [])
+    dense = TaskGraph(names, [("a", "b"), ("b", "c"), ("a", "c")])
+    empty = TaskGraph(names, [])
     hp = Hyperparams(lambda_conn=0.0, k=3, max_iter=60)
     m_dense = fit(MultiTaskDataset(tasks, dense, 4, 4), hp)
     m_empty = fit(MultiTaskDataset(tasks, empty, 4, 4), hp)
@@ -821,7 +820,7 @@ def test_fit_connectivity_pulls_coupled_tasks_together():
     rng = np.random.default_rng(45)
     X = rng.standard_normal((40, 8))
     w_base = rng.standard_normal(8)
-    graph = TaskGraph.from_task_edges(("a", "b"), [("a", "b")])
+    graph = TaskGraph(("a", "b"), [("a", "b")])
     tasks = tuple(
         TaskDataset(nm, X, X @ w_base + rng.standard_normal(40))
         for nm in ("a", "b")

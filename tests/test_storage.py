@@ -492,15 +492,16 @@ def test_dataset_reader_errors(tmp_path):
     graph, h, t, counts = read_task_graph(tmp_path)
     assert graph.tasks == ("a", "b") and (h, t) == (2, 2) and counts == {"train": [3, 4], "test": [1, 2]}
     for meta, message in [
-        (f'{{"tasks": ["a", "../../evil"], "h": 2, "t": 2, {rows}}}', "not a plain file name"),
-        (f'{{"tasks": ["a", 7], "h": 2, "t": 2, {rows}}}', "not a plain file name"),
-        (f'{{"tasks": [], "h": 2, "t": 2, {rows}}}', "non-empty list"),
-        (f'{{"tasks": ["a", "b"], "h": "x", "t": 2, {rows}}}', "must be integers"),
+        (f'{{"tasks": ["a", "../../evil"], "h": 2, "t": 2, {rows}}}', "bad value for 'tasks'"),
+        (f'{{"tasks": ["a", 7], "h": 2, "t": 2, {rows}}}', "bad value for 'tasks'"),
+        (f'{{"tasks": [], "h": 2, "t": 2, {rows}}}', "bad value for 'tasks'"),
+        (f'{{"tasks": ["a", "b"], "h": "x", "t": 2, {rows}}}', "bad value for 'h'"),
         ('["a", "b"]', "JSON object"),
-        ('{"tasks": ["a", "b"], "h": 2, "t": 2, "rows": null}', "'rows' must map"),
-        ('{"tasks": ["a", "b"], "h": 2, "t": 2, "rows": {"train": [3, 4]}}', "'rows' must map"),
-        ('{"tasks": ["a", "b"], "h": 2, "t": 2, "rows": {"train": [3, 4], "test": [1]}}', "'rows' must map"),
-        ('{"tasks": ["a", "b"], "h": 2, "t": 2, "rows": {"train": [3, 4], "test": [1, true]}}', "'rows' must map"),
+        ('{"tasks": ["a", "b"], "h": 2, "t": 2, "rows": null}', "bad value for 'rows'"),
+        ('{"tasks": ["a", "b"], "h": 2, "t": 2, "rows": {"train": [3, 4]}}', "bad value for 'rows'"),
+        ('{"tasks": ["a", "b"], "h": 2, "t": 2, "rows": {"train": [3, 4], "test": [1]}}', "bad value for 'rows'"),
+        ('{"tasks": ["a", "b"], "h": 2, "t": 2, "rows": {"train": [3, 4], "test": [1, true]}}',
+         "bad value for 'rows'"),
     ]:
         (tmp_path / "tasks.json").write_text(meta + "\n", encoding="utf-8")
         with pytest.raises(InputError, match=message):
