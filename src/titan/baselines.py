@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericalAbort
+from .errors import InputError, NumericalAbort, numerical
 from .features import GramStats, MultiTaskDataset
 from .prox import norm_l1, norm_l21, prox_l21, soft_threshold
 
@@ -153,5 +153,6 @@ def fit_baseline(kind, data: MultiTaskDataset, lam) -> BaselineModel:
         raise InputError(f"lambda must be finite, got {lam}")
     if kind not in BASELINES:
         raise InputError(f"unknown baseline kind {kind!r}")
-    W = globals()[f"fit_{kind}"](data, lam)
+    with numerical(f"fitting {kind} at lambda={lam:g}"):
+        W = globals()[f"fit_{kind}"](data, lam)
     return BaselineModel(kind=kind, weights=W, tasks=tuple(data.graph.tasks), lam=lam)

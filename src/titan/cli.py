@@ -119,14 +119,18 @@ def cmd_evaluate(args):
     test = storage.read_split(args.dataset, "test")
     reports = []
     label_counts = {}
-    for path in args.model:
+    for path in args.model:  # every model is scored before anything is printed
         model = storage.read_model(path)
-        rep = evaluation.evaluate(model, test)
+        try:
+            rep = evaluation.evaluate(model, test)
+        except NumericalAbort as exc:
+            raise NumericalAbort(f"{path}: {exc}") from None
         n = label_counts.get(rep.method, 0) + 1
         label_counts[rep.method] = n
         if n > 1:  # disambiguate repeated kinds deterministically
             rep = dataclasses.replace(rep, method=f"{rep.method}#{n}")
         reports.append(rep)
+    for rep in reports:
         overall = rep.overall
         print(
             f"{rep.method}: pooled rmse={overall.rmse:.4f} mae={overall.mae:.4f} "

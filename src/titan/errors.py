@@ -1,9 +1,12 @@
-"""Exception types shared across the package, and the checks on outside
-input (config field types, input text files) that raise them."""
+"""Exception types shared across the package and what raises them: the
+checks on outside input (config fields, input text files) and `numerical`."""
 
+import contextlib
 import math
 import numbers
 from pathlib import Path
+
+import numpy as np
 
 
 class InputError(ValueError):
@@ -11,7 +14,19 @@ class InputError(ValueError):
 
 
 class NumericalAbort(RuntimeError):
-    """A non-finite value was produced during training (CLI exit code 3)."""
+    """A computation produced a non-finite value (CLI exit code 3)."""
+
+
+@contextlib.contextmanager
+def numerical(where):
+    """Run the block with numpy's overflow, invalid and divide errors raising,
+    as NumericalAbort(f"{error} {where}"); a callable `where` is read at
+    raise time. An np.errstate inside the block still wins there."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalAbort(f"{exc} {where() if callable(where) else where}") from None
 
 
 def read_input_text(path):

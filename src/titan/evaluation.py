@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .baselines import BaselineModel
-from .errors import InputError, NumericalAbort
+from .errors import InputError, numerical
 from .features import MultiTaskDataset
 from .solver import Hyperparams, TrainedModel, fit, predict, structured_q0
 
@@ -94,14 +94,10 @@ def _task_predictions(model, data: MultiTaskDataset):
 
 
 def _scored(metric, model, where, y, yhat):
-    """metric(y, yhat) in fit's error state: a float overflow, invalid
-    operation or division by zero raises NumericalAbort naming the
-    model's method and `where` it was scored."""
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return metric(y, yhat)
-    except FloatingPointError as exc:
-        raise NumericalAbort(f"{exc} scoring {model.label} on {where}") from None
+    """metric(y, yhat) under errors.numerical, named with the model's
+    method and `where` it was scored."""
+    with numerical(f"scoring {model.label} on {where}"):
+        return metric(y, yhat)
 
 
 def evaluate(model, data: MultiTaskDataset) -> MetricsReport:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, NumericalAbort, data_lines, read_input_text
+from .errors import InputError, data_lines, numerical, read_input_text
 from .roadnet import TaskGraph
 
 log = logging.getLogger(__name__)
@@ -266,9 +266,7 @@ def assemble_dataset(
 
 
 def standardize_columns(train: MultiTaskDataset, test: MultiTaskDataset):
-    """Center/scale every feature column by pooled train statistics, in
-    fit's error state: a float overflow, invalid operation or division by
-    zero raises NumericalAbort naming the standardization."""
+    """Center/scale every feature column by pooled train statistics."""
 
     def apply(ds):
         tasks = tuple(
@@ -276,15 +274,12 @@ def standardize_columns(train: MultiTaskDataset, test: MultiTaskDataset):
         )
         return MultiTaskDataset(tasks, ds.graph, ds.h, ds.t)
 
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            pooled = np.vstack([td.X for td in train.tasks])
-            mean = pooled.mean(axis=0)
-            std = pooled.std(axis=0)
-            std[std == 0] = 1.0
-            return apply(train), apply(test)
-    except FloatingPointError as exc:
-        raise NumericalAbort(f"{exc} in the column standardization") from None
+    with numerical("in the column standardization"):
+        pooled = np.vstack([td.X for td in train.tasks])
+        mean = pooled.mean(axis=0)
+        std = pooled.std(axis=0)
+        std[std == 0] = 1.0
+        return apply(train), apply(test)
 
 
 def load_incidents_csv(path):

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .baselines import fit_ridge
-from .errors import InputError, NumericalAbort, check_field_types
+from .errors import InputError, NumericalAbort, check_field_types, numerical
 from .features import MultiTaskDataset
 from .prox import norm_fro, norm_l1, norm_l21, prox_l21, soft_threshold_nonneg
 
@@ -365,25 +365,21 @@ def structured_q0(data: MultiTaskDataset, ks):
     magnitudes, normalized: disjoint supports, so Q0 is exactly
     feasible. Deterministic given the data. Everything but the last
     cut is independent of k, so it is done once for all of ks, and each
-    Q0 is the one a call with that k alone returns. Runs in fit's error
-    state: a floating-point error raises NumericalAbort naming the start.
+    Q0 is the one a call with that k alone returns.
     """
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            B = fit_ridge(data, 0.01)
-            norms = np.linalg.norm(B, axis=1)
-            F = (np.vstack([B[:1], B[:-1]]) + B + np.vstack([B[1:], B[-1:]])) / 3.0
-            fn = np.linalg.norm(F, axis=1)
-            rows = F / np.where(fn > 0, fn, 1.0)[:, None]
-            starts = []
-            for k, bounds in zip(ks, _segment_contiguous(rows, np.maximum(fn, 1e-12) ** 2, ks)):
-                Q = np.zeros((data.p, k))
-                for c in range(k):
-                    seg = slice(bounds[c], bounds[c + 1])
-                    Q[seg, c] = np.maximum(norms[seg], 1e-12)
-                starts.append(Q / np.linalg.norm(Q, axis=0))
-    except FloatingPointError as exc:
-        raise NumericalAbort(f"{exc} in the start") from None
+    with numerical("in the start"):
+        B = fit_ridge(data, 0.01)
+        norms = np.linalg.norm(B, axis=1)
+        F = (np.vstack([B[:1], B[:-1]]) + B + np.vstack([B[1:], B[-1:]])) / 3.0
+        fn = np.linalg.norm(F, axis=1)
+        rows = F / np.where(fn > 0, fn, 1.0)[:, None]
+        starts = []
+        for k, bounds in zip(ks, _segment_contiguous(rows, np.maximum(fn, 1e-12) ** 2, ks)):
+            Q = np.zeros((data.p, k))
+            for c in range(k):
+                seg = slice(bounds[c], bounds[c + 1])
+                Q[seg, c] = np.maximum(norms[seg], 1e-12)
+            starts.append(Q / np.linalg.norm(Q, axis=0))
     return starts
 
 
@@ -432,9 +428,8 @@ def fit(data: MultiTaskDataset, hp: Hyperparams, q0=None) -> TrainedModel:
     Stops early once both residuals fall below their tolerances after a
     Q step that moved: an iteration whose Q step stalled never counts as
     converged, since its residuals only show that nothing moved, and
-    MAX_STALLED_RUN stalled Q steps in a row end the fit unconverged. A
-    non-finite value, float overflow, invalid operation or division by
-    zero raises NumericalAbort naming the start, variable or iteration.
+    MAX_STALLED_RUN stalled Q steps in a row end the fit unconverged. The
+    loop runs under errors.numerical, named with its iteration.
     """
     if hp.k > data.p:
         raise InputError(f"group count k={hp.k} exceeds feature dimension p={data.p}")
@@ -442,25 +437,22 @@ def fit(data: MultiTaskDataset, hp: Hyperparams, q0=None) -> TrainedModel:
 
     converged = False
     stalled_run = 0
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for it in range(1, hp.max_iter + 1):
-                sweep_W(data, state, hp)
-                g = grad_Q(data, state, hp)
-                state.Q, stalled = update_Q(data, state, g, hp)
-                stalled_run = stalled_run + 1 if stalled else 0
-                prev = copy.copy(state)  # shallow: the updates below rebind, never mutate
-                state.U_W, state.U_Q = update_duals(state, hp)
-                state.Lambda1, state.Lambda2 = update_multipliers(state, hp)
-                p_res, d_res = residuals(prev, state, hp)
-                check_finite(state, it)
-                if not stalled and p_res < hp.eps_primal and d_res < hp.eps_dual:
-                    converged = True
-                    break
-                if stalled_run == MAX_STALLED_RUN:
-                    break
-    except FloatingPointError as exc:
-        raise NumericalAbort(f"{exc} at iteration {it}") from None
+    with numerical(lambda: f"at iteration {it}"):
+        for it in range(1, hp.max_iter + 1):
+            sweep_W(data, state, hp)
+            g = grad_Q(data, state, hp)
+            state.Q, stalled = update_Q(data, state, g, hp)
+            stalled_run = stalled_run + 1 if stalled else 0
+            prev = copy.copy(state)  # shallow: the updates below rebind, never mutate
+            state.U_W, state.U_Q = update_duals(state, hp)
+            state.Lambda1, state.Lambda2 = update_multipliers(state, hp)
+            p_res, d_res = residuals(prev, state, hp)
+            check_finite(state, it)
+            if not stalled and p_res < hp.eps_primal and d_res < hp.eps_dual:
+                converged = True
+                break
+            if stalled_run == MAX_STALLED_RUN:
+                break
 
     return TrainedModel(
         Q=state.Q.copy(),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, check_field_types
+from .errors import InputError, check_field_types, numerical
 from .features import MultiTaskDataset, TaskDataset
 from .roadnet import TaskGraph, build_line_graph, load_edge_list
 
@@ -162,10 +162,11 @@ def ar1_rows(rng, n, p, phi):
 def _task_pair(rng, road, Q, w, config: SynthConfig, n_train):
     """One road's (train, test) TaskDataset pair (see draw)."""
     n = config.n_per_task
-    X = ar1_rows(rng, n, config.p, config.feature_corr)
-    Y = X @ Q @ w
-    if config.noise_sigma > 0:
-        Y = Y + config.noise_sigma * rng.standard_normal(n)
+    with numerical(f"drawing task {road!r}"):
+        X = ar1_rows(rng, n, config.p, config.feature_corr)
+        Y = X @ Q @ w
+        if config.noise_sigma > 0:
+            Y = Y + config.noise_sigma * rng.standard_normal(n)
     return TaskDataset(road, X[:n_train], Y[:n_train]), TaskDataset(road, X[n_train:], Y[n_train:])
 
 

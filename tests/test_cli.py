@@ -200,9 +200,8 @@ def test_synth_failing_part_way_leaves_no_dataset(tmp_path, capsys):
     ds = tmp_path / "ds"
     assert main(["synth", "--config", write_json(tmp_path / "ok.json", {"T": 3}), "--out", str(ds)]) == 0
     cfg = write_json(tmp_path / "overflow.json", {"T": 3, "noise_sigma": 1e308})
-    with np.errstate(over="ignore"):
-        assert main(["synth", "--config", cfg, "--out", str(ds)]) == 2
-    assert "non-finite" in capsys.readouterr().err
+    assert main(["synth", "--config", cfg, "--out", str(ds)]) == 3
+    assert capsys.readouterr().err == "numerical failure: overflow encountered in multiply drawing task 'r00'\n"
     assert not (ds / "tasks.json").exists()
     assert main(["train", "--dataset", str(ds), "--out", str(tmp_path / "m.json")]) == 2
     assert "missing file" in capsys.readouterr().err

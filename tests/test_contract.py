@@ -517,18 +517,40 @@ def test_overflowing_prediction_exits_3(world):
 
 def test_overflowing_metric_exits_3_and_writes_no_report(world):
     """Finite weights of 1e200 whose predictions are finite but whose
-    squared errors are past the largest double."""
+    squared errors are past the largest double. Scored after a good model
+    of the same kind, nothing is printed for that one, and the abort
+    names the file."""
     root, ds = world
     model = json.loads((root / "ridge.json").read_text(encoding="utf-8"))
     huge = write_json(root / "ridge-huge.json",
                       {**model, "weights": [[1e200] * len(row) for row in model["weights"]]})
     out = root / "report-huge.csv"
-    code, err, stdout = run_cli_streams(["evaluate", "--dataset", ds, "--model", huge, "--out", out])
-    assert code == 3, (code, err)
-    assert err == "numerical failure: overflow encountered in multiply scoring ridge on task 'r00'\n", err
-    assert stdout == "" and not out.exists()
+    for models in ([huge], [root / "ridge.json", huge]):
+        argv = ["evaluate", "--dataset", ds, "--out", out, *[a for m in models for a in ("--model", m)]]
+        code, err, stdout = run_cli_streams(argv)
+        assert code == 3, (code, err)
+        assert err == f"numerical failure: {huge}: overflow encountered in multiply scoring ridge on task 'r00'\n"
+        assert stdout == "" and not out.exists()
     with pytest.raises(NumericalAbort, match="scoring ridge on all tasks$"):  # train-baseline's grid score
         evaluation.pooled_rmse(storage.read_model(huge), storage.read_split(ds, "test"))
+
+
+@pytest.mark.parametrize("kind", baselines.BASELINE_KINDS)
+def test_overflowing_baseline_fit_exits_3_naming_the_fit(tmp_path, kind):
+    """Labels of ~1e155, whose squares overflow in the Gram statistics
+    that every baseline fit reads first."""
+    ds = tmp_path / "ds"
+    cfg = write_json(tmp_path / "synth.json", {"weight_smoothness": 1e-310, "T": 3, "p": 6, "k": 3,
+                                               "n_per_task": 20, "seed": 1})
+    assert main(["synth", "--config", str(cfg), "--out", str(ds)]) == 0
+    out = tmp_path / "baseline.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err, stdout = run_cli_streams(["train-baseline", "--dataset", ds, "--kind", kind, "--out", out])
+    lam = baselines.BASELINES[kind][0]
+    assert code == 3, (code, err)
+    assert err == f"numerical failure: overflow encountered in matmul fitting {kind} at lambda={lam:g}\n", err
+    assert stdout == "" and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "sweep-k"])
