@@ -21,7 +21,7 @@ from pathlib import Path
 
 from titan import storage
 from titan.cli import main as titan_main
-from titan.evaluation import pooled_rmse, recovery_jaccard
+from titan.evaluation import evaluate, recovery_jaccard
 from titan.solver import Hyperparams, fit
 from titan.synth import SynthConfig, generate
 
@@ -61,8 +61,9 @@ def row(suite, seed):
     elapsed = time.perf_counter() - started
     p_res, d_res = model.final_residuals
     jac = "-" if truth is None else f"{recovery_jaccard(model.Q, truth.block_supports):.3f}"
+    test_rmse = evaluate(model, test).overall.rmse
     return (f"| {suite} | {seed} | {model.iterations} | {model.converged} | {p_res:.2e} | "
-            f"{d_res:.2e} | {model.orth_gap:.1e} | {jac} | {pooled_rmse(model, test):.4f} | "
+            f"{d_res:.2e} | {model.orth_gap:.1e} | {jac} | {test_rmse:.4f} | "
             f"{elapsed:.2f} |"), model.converged
 
 

@@ -72,7 +72,7 @@ def cmd_synth(args):
 def cmd_train(args):
     _check_out(args.out)
     hp = _load_hyperparams(args)
-    train = storage.read_split(args.dataset, "train")
+    (train,) = storage.read_dataset(args.dataset, ("train",))
     started = time.perf_counter()
     model = solver.fit(train, hp)
     elapsed = time.perf_counter() - started
@@ -93,7 +93,7 @@ def cmd_train_baseline(args):
     best = None
     for lam in grid:
         model = baselines.fit_baseline(args.kind, train, lam)
-        score = evaluation.pooled_rmse(model, test)
+        score = evaluation.evaluate(model, test).overall.rmse
         log.info("%s lambda=%g pooled test rmse=%.4f", args.kind, lam, score)
         if best is None or score < best[0]:
             best = (score, model)
@@ -116,15 +116,15 @@ def cmd_predict(args):
 
 def cmd_evaluate(args):
     _check_out(args.out)
-    test = storage.read_split(args.dataset, "test")
+    (test,) = storage.read_dataset(args.dataset, ("test",))
     reports = []
     label_counts = {}
     for path in args.model:  # every model is scored before anything is printed
         model = storage.read_model(path)
         try:
             rep = evaluation.evaluate(model, test)
-        except NumericalAbort as exc:
-            raise NumericalAbort(f"{path}: {exc}") from None
+        except (InputError, NumericalAbort) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
         n = label_counts.get(rep.method, 0) + 1
         label_counts[rep.method] = n
         if n > 1:  # disambiguate repeated kinds deterministically

@@ -1,17 +1,16 @@
 """Metrics, comparison reports, group diagnostics, and k sweeps.
 
-Report values are rounded to 4 decimals at construction so the CSV form
-(`method,task,k,rmse,mae,mape_percent`) round-trips exactly. Pooled
-overall metrics concatenate all tasks' prediction pairs; they are a
-convenience and excluded from report equality, since they cannot be
-recovered from the per-task rows alone.
+`evaluate` is the one scorer: a report holds each task's metrics and the
+pooled (overall) metrics of all tasks' prediction pairs concatenated, as
+exact floats. The report CSV (`method,task,k,rmse,mae,mape_percent`)
+writes the per-task rows with 4 decimals.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,57 +62,41 @@ class MetricTriple:
     mae: float
     mape_percent: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "rmse", round(float(self.rmse), 4))
-        object.__setattr__(self, "mae", round(float(self.mae), 4))
-        object.__setattr__(self, "mape_percent", round(float(self.mape_percent), 4))
-
 
 @dataclass(frozen=True)
 class MetricsReport:
     method: str
     per_task: dict  # road_id -> MetricTriple, in task order
-    k: int = 0  # group count for grouped models, 0 for baselines
-    overall: MetricTriple | None = field(default=None, compare=False)
+    k: int  # group count for grouped models, 0 for baselines
+    overall: MetricTriple  # over all tasks' pairs concatenated
 
 
 def measure(y, yhat):
     return MetricTriple(rmse(y, yhat), mae(y, yhat), mape(y, yhat))
 
 
-def _task_predictions(model, data: MultiTaskDataset):
-    """(Y, yhat) per task in task order, for a model (grouped or baseline)
-    fitted on the dataset's tasks."""
+def evaluate(model, data: MultiTaskDataset) -> MetricsReport:
+    """Score a trained model (grouped or baseline), fitted on the dataset's
+    tasks, on every task and on all tasks' pairs pooled. Each score runs
+    under errors.numerical, named with the model's method and where it
+    was scored."""
     if not isinstance(model, (TrainedModel, BaselineModel)):
         raise InputError(f"cannot evaluate object of type {type(model).__name__}")
     if tuple(model.tasks) != tuple(data.graph.tasks):
         raise InputError(
             f"model tasks {list(model.tasks)} do not match dataset tasks {list(data.graph.tasks)}"
         )
-    return [(td.Y, predict(model, td.X, td.road_id)) for td in data.tasks]
 
+    def scored(where, y, yhat):
+        with numerical(f"scoring {model.label} on {where}"):
+            return measure(y, yhat)
 
-def _scored(metric, model, where, y, yhat):
-    """metric(y, yhat) under errors.numerical, named with the model's
-    method and `where` it was scored."""
-    with numerical(f"scoring {model.label} on {where}"):
-        return metric(y, yhat)
-
-
-def evaluate(model, data: MultiTaskDataset) -> MetricsReport:
-    """Score a trained model (grouped or baseline) on every task."""
-    pairs = _task_predictions(model, data)
-    per_task = {td.road_id: _scored(measure, model, f"task {td.road_id!r}", y, yhat)
+    pairs = [(td.Y, predict(model, td.X, td.road_id)) for td in data.tasks]
+    per_task = {td.road_id: scored(f"task {td.road_id!r}", y, yhat)
                 for td, (y, yhat) in zip(data.tasks, pairs)}
     ys, yhats = zip(*pairs)
-    overall = _scored(measure, model, "all tasks", np.concatenate(ys), np.concatenate(yhats))
+    overall = scored("all tasks", np.concatenate(ys), np.concatenate(yhats))
     return MetricsReport(method=model.label, per_task=per_task, k=model.k, overall=overall)
-
-
-def pooled_rmse(model, data: MultiTaskDataset):
-    """Test RMSE over all tasks' pairs concatenated (full precision)."""
-    ys, yhats = zip(*_task_predictions(model, data))
-    return _scored(rmse, model, "all tasks", np.concatenate(ys), np.concatenate(yhats))
 
 
 def top_group_per_task(model: TrainedModel):

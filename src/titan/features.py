@@ -164,9 +164,6 @@ class MultiTaskDataset:
             a.setflags(write=False)
         return GramStats(S, B, c)
 
-    def task(self, road_id) -> TaskDataset:
-        return self.tasks[self.graph.index_of(road_id)]
-
 
 def check_window_sizes(h, t):
     """Reject a detection (h) or verification (t) window shorter than 1."""

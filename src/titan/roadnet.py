@@ -61,12 +61,6 @@ class TaskGraph:
         L.flags.writeable = False
         return L
 
-    def index_of(self, road_id):
-        try:
-            return self.tasks.index(road_id)
-        except ValueError:
-            raise InputError(f"unknown road {road_id!r}") from None
-
     def task_edges(self):
         """Undirected task pairs (i < j) with adjacency 1."""
         t = self.n_tasks

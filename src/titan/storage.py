@@ -8,10 +8,11 @@ sizes `h` and `t` (so p = h + t), and each split's per-task row counts,
 
 The values of a split are one file, `<split>/values.npy`: a float64
 vector in np.save's v1.0 format holding each task's X (row-major, n_r x
-p) then its Y (n_r values), in task order. read_split builds the split
-from tasks.json, graph.edges and that file. A tasks.json without
-one of its four keys, a missing or malformed values.npy, or rows that do
-not describe it raises InputError naming the file; there is no fallback.
+p) then its Y (n_r values), in task order. read_dataset builds each split
+it is asked for from that file, on the one task graph it reads from
+tasks.json and graph.edges. A tasks.json without one of its four keys,
+a missing or malformed values.npy, or rows that do not describe it
+raises InputError naming the file; there is no fallback.
 
 Beside it, write_dataset writes each task's `X_<road>.csv` and
 `Y_<road>.csv` with %.17g (encoded in numpy blocks, see csvfmt), which
@@ -205,20 +206,19 @@ def read_task_graph(root):
     return graph, v["h"], v["t"], v["rows"]
 
 
-def read_split(root, split):
-    """Load one split ("train" or "test") of a dataset directory as a
-    MultiTaskDataset; the other split's files are not read."""
-    if split not in SPLITS:
-        raise InputError(f"split must be one of {SPLITS}, got {split!r}")
+def read_dataset(root, splits=SPLITS):
+    """The MultiTaskDataset of each split in `splits`, in that order, all
+    on the one TaskGraph that tasks.json and graph.edges describe; the
+    files of a split not asked for are not read."""
+    if not set(splits) <= set(SPLITS):
+        raise InputError(f"splits must be among {SPLITS}, got {tuple(splits)!r}")
     graph, h, t, rows = read_task_graph(root)
-    pairs = _split_values(Path(root) / split / VALUES_NAME, rows[split], h + t)
-    tasks = tuple(TaskDataset(road, X, Y) for road, (X, Y) in zip(graph.tasks, pairs))
-    return MultiTaskDataset(tasks, graph, h, t)
-
-
-def read_dataset(root):
-    """Load (train, test) MultiTaskDataset pairs from a dataset directory."""
-    return read_split(root, "train"), read_split(root, "test")
+    datasets = []
+    for split in splits:
+        pairs = _split_values(Path(root) / split / VALUES_NAME, rows[split], h + t)
+        tasks = tuple(TaskDataset(road, X, Y) for road, (X, Y) in zip(graph.tasks, pairs))
+        datasets.append(MultiTaskDataset(tasks, graph, h, t))
+    return tuple(datasets)
 
 
 def _finite_real(v, low=-math.inf):
@@ -349,7 +349,10 @@ def read_model(path):
         v = _read_keys(path, obj, _BASELINE_MODEL, "baseline model ")
         if v["weights"].shape != (v["p"], len(v["tasks"])):
             raise InputError(f"{path}: matrix shapes inconsistent with declared p/tasks")
-        return BaselineModel(kind=v["kind"], weights=v["weights"], tasks=v["tasks"], lam=v["lambda"])
+        try:  # BaselineModel checks the kind and the lambda
+            return BaselineModel(kind=v["kind"], weights=v["weights"], tasks=v["tasks"], lam=v["lambda"])
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
     v = _read_keys(path, obj, _GROUPED_MODEL, "model ")
     p, k = v["p"], v["k"]
     if v["Q"].shape != (p, k) or v["W"].shape != (k, len(v["tasks"])):

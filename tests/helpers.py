@@ -285,8 +285,8 @@ def line_read_matrix_csv(path):
 
 
 def parse_report_csv(text, source="<report>"):
-    """Inverse of evaluation.emit_report_csv; overall metrics are not
-    recoverable."""
+    """Inverse of evaluation.emit_report_csv; the CSV holds no overall
+    metrics, so each report's `overall` is None."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != REPORT_HEADER:
         raise InputError(f"{source}:1: expected header {REPORT_HEADER!r}")
@@ -303,7 +303,7 @@ def parse_report_csv(text, source="<report>"):
             raise InputError(f"{source}:{lineno}: bad numeric field") from None
         groups.setdefault((method, k), {})[road] = triple
     return tuple(
-        MetricsReport(method=method, per_task=per_task, k=k)
+        MetricsReport(method=method, per_task=per_task, k=k, overall=None)
         for (method, k), per_task in groups.items()
     )
 

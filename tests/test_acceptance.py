@@ -24,7 +24,7 @@ from helpers import (
 )
 from titan.baselines import BASELINES, fit_baseline, fit_nmtl
 from titan.cli import main
-from titan.evaluation import mae, mape, pooled_rmse, recovery_jaccard, rmse
+from titan.evaluation import evaluate, mae, mape, recovery_jaccard, rmse
 from titan.prox import prox_l21, soft_threshold, soft_threshold_nonneg
 from titan.solver import Hyperparams, TrainedModel, fit, grad_Q, predict
 from titan.synth import SynthConfig, generate
@@ -42,7 +42,7 @@ def best_of_grid(kind, train, test):
     best_score, best_model = None, None
     for lam in BASELINES[kind]:
         model = fit_baseline(kind, train, lam)
-        score = pooled_rmse(model, test)
+        score = evaluate(model, test).overall.rmse
         if best_score is None or score < best_score:
             best_score, best_model = score, model
     return best_score, best_model
@@ -59,7 +59,7 @@ def seed_benchmarks():
         entry = {
             "test": test,
             "titan": titan_model,
-            "pooled": {"titan": pooled_rmse(titan_model, test)},
+            "pooled": {"titan": evaluate(titan_model, test).overall.rmse},
             "models": {},
         }
         for kind in ("nmtl", "lasso", "ridge"):
@@ -188,7 +188,7 @@ def test_07_connectivity_helps_hub_most(capsys, seed_benchmarks):
         lasso_model = entry["models"]["lasso"]
         imp = {}
         for road in (hub, spoke):
-            td = test.task(road)
+            td = test.tasks[test.graph.tasks.index(road)]
             t_rmse = rmse(td.Y, predict(titan_model, td.X, road))
             l_rmse = rmse(td.Y, td.X @ lasso_model.weights[:, lasso_model.tasks.index(road)])
             imp[road] = l_rmse - t_rmse

@@ -651,6 +651,47 @@ def test_outputs_do_not_depend_on_blas_thread_count(wide_path_ds, tmp_path, comm
     assert outputs[0] == outputs[1]
 
 
+# Prints the thread count of numpy's bundled OpenBLAS after the given
+# import, or "none" when numpy bundles no OpenBLAS this can query.
+BLAS_THREADS_AFTER = """
+import ctypes, sys
+from pathlib import Path
+import {module}
+import numpy
+for lib in sorted((Path(numpy.__file__).parents[1] / "numpy.libs").glob("*openblas*")):
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_"):
+        query = getattr(ctypes.CDLL(str(lib)), name, None)
+        if query is not None:
+            print(query())
+            sys.exit()
+print("none")
+"""
+
+
+def blas_threads_after(module, **env):
+    """OpenBLAS's thread count in a fresh interpreter after `import
+    module`, with no thread variable set but those in `env`."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")} | env
+    env["PYTHONPATH"] = str(Path(titan.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_AFTER.format(module=module)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout == "none\n":
+        pytest.skip("numpy bundles no OpenBLAS with a thread-count query")
+    return int(proc.stdout)
+
+
+def test_the_cli_entry_point_pins_openblas_to_one_thread_unless_told():
+    """`python -m titan` and the `titan` script run one BLAS thread unless
+    OPENBLAS_NUM_THREADS says otherwise; importing titan.cli alone keeps
+    the library's default."""
+    default = blas_threads_after("numpy")
+    assert blas_threads_after("titan.__main__") == 1
+    assert blas_threads_after("titan.__main__", OPENBLAS_NUM_THREADS="2") == min(2, default)
+    assert blas_threads_after("titan.cli") == default
+
+
 def test_report_groups_schema(trained, tmp_path):
     _, model_path = trained
     out = tmp_path / "groups.json"

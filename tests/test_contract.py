@@ -531,8 +531,66 @@ def test_overflowing_metric_exits_3_and_writes_no_report(world):
         assert code == 3, (code, err)
         assert err == f"numerical failure: {huge}: overflow encountered in multiply scoring ridge on task 'r00'\n"
         assert stdout == "" and not out.exists()
-    with pytest.raises(NumericalAbort, match="scoring ridge on all tasks$"):  # train-baseline's grid score
-        evaluation.pooled_rmse(storage.read_model(huge), storage.read_split(ds, "test"))
+    with pytest.raises(NumericalAbort, match="scoring ridge on task 'r00'$"):  # train-baseline's grid score
+        evaluation.evaluate(storage.read_model(huge), *storage.read_dataset(ds, ("test",)))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: {**m, "tasks": m["tasks"] + ["r03"], "weights": [row + [0.0] for row in m["weights"]]},
+     "model tasks ['r00', 'r01', 'r02', 'r03'] do not match dataset tasks ['r00', 'r01', 'r02']"),
+    (lambda m: {**m, "kind": "svm"}, f"kind must be one of {baselines.BASELINE_KINDS}, got 'svm'"),
+    (lambda m: {**m, "lambda": -1}, "lambda must be >= 0, got -1.0"),
+], ids=["tasks", "kind", "lambda"])
+def test_evaluate_names_the_model_file_in_an_input_error(world, tmp_path, edit, message):
+    """Read and scored after a good model, a model file that titan cannot
+    read as a baseline or cannot score on the dataset: the error says
+    which --model it is."""
+    root, ds = world
+    bad = write_json(tmp_path / "bad.json", edit(json.loads((root / "ridge.json").read_text(encoding="utf-8"))))
+    out = tmp_path / "report.csv"
+    code, err, stdout = run_cli_streams(["evaluate", "--dataset", ds, "--model", root / "ridge.json",
+                                         "--model", bad, "--out", out])
+    assert (code, err, stdout) == (2, f"error: {bad}: {message}\n", "")
+    assert not out.exists()
+
+
+def test_a_zero_test_label_exits_2_in_train_baseline_as_in_evaluate(world, tmp_path):
+    """train-baseline picks its penalty with evaluate's scores, so a test
+    label of 0, which has no percentage error, stops both commands."""
+    root, ds = world
+    zero = tmp_path / "ds"
+    shutil.copytree(ds, zero)
+    _, h, t, rows = storage.read_task_graph(zero)
+    values = np.load(zero / "test" / "values.npy")
+    values[rows["test"][0] * (h + t)] = 0.0  # the first test label of the first road
+    np.save(zero / "test" / "values.npy", values)
+    out = tmp_path / "ridge.json"
+    code, err, stdout = run_cli_streams(["train-baseline", "--dataset", zero, "--kind", "ridge", "--out", out])
+    assert (code, err, stdout) == (2, "error: mape undefined for zero labels\n", "") and not out.exists()
+    code, err, _ = run_cli_streams(["evaluate", "--dataset", zero, "--model", root / "ridge.json",
+                                    "--out", tmp_path / "report.csv"])
+    assert (code, err) == (2, f"error: {root / 'ridge.json'}: mape undefined for zero labels\n")
+
+
+@pytest.mark.parametrize("command", ["train-baseline", "sweep-k"])
+def test_both_splits_share_one_task_graph_read_once(world, monkeypatch, tmp_path, command):
+    """tasks.json and graph.edges are parsed once per command, and the
+    train and test splits it fits and scores hold that one graph."""
+    root, ds = world
+    reads, graphs = [], []
+    read_task_graph, fit_baseline = storage.read_task_graph, baselines.fit_baseline
+    evaluate, sweep_group_count = evaluation.evaluate, evaluation.sweep_group_count
+    monkeypatch.setattr(storage, "read_task_graph", lambda path: reads.append(path) or read_task_graph(path))
+    monkeypatch.setattr(baselines, "fit_baseline",
+                        lambda kind, train, lam: graphs.append(train.graph) or fit_baseline(kind, train, lam))
+    monkeypatch.setattr(evaluation, "evaluate", lambda model, test: graphs.append(test.graph) or evaluate(model, test))
+    monkeypatch.setattr(evaluation, "sweep_group_count", lambda train, test, hp, ks: graphs.extend(
+        (train.graph, test.graph)) or sweep_group_count(train, test, hp, ks))
+    args = {"train-baseline": ["--kind", "ridge"], "sweep-k": ["--config", root / "hp.json", "--k", "2"]}
+    code, err = run_cli([command, "--dataset", ds, *args[command], "--out", tmp_path / "out"])
+    assert code == 0, err
+    assert reads == [str(ds)]
+    assert len(graphs) >= 3 and all(graph is graphs[0] for graph in graphs)
 
 
 @pytest.mark.parametrize("kind", baselines.BASELINE_KINDS)
@@ -646,9 +704,8 @@ def assert_unwritable(world, monkeypatch, command, out):
     def reached(*args, **kwargs):
         raise AssertionError("reached before the --out check")
 
-    for module, name in [(solver, "fit"), (baselines, "fit_baseline"), (storage, "read_split"),
-                         (storage, "read_dataset"), (storage, "read_model"), (storage, "read_matrix_csv"),
-                         (storage, "read_hyperparams")]:
+    for module, name in [(solver, "fit"), (baselines, "fit_baseline"), (storage, "read_dataset"),
+                         (storage, "read_model"), (storage, "read_matrix_csv"), (storage, "read_hyperparams")]:
         monkeypatch.setattr(module, name, reached)
     root, ds = world
     code, err = run_cli(WRITERS[command](root, ds) + [out])

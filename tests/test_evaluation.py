@@ -18,7 +18,6 @@ from titan.evaluation import (
     mae,
     mape,
     measure,
-    pooled_rmse,
     recovery_jaccard,
     rmse,
     support_overlap_matrix,
@@ -93,13 +92,12 @@ def test_metric_errors():
         mae([], [])
 
 
-def test_metric_triple_rounds_to_four_decimals():
+def test_metric_triple_keeps_exact_floats():
     t = MetricTriple(1.23456, 2.000049, 3.999999)
-    assert t.rmse == 1.2346
-    assert t.mae == 2.0
-    assert t.mape_percent == 4.0
+    assert (t.rmse, t.mae, t.mape_percent) == (1.23456, 2.000049, 3.999999)
     m = measure([100.0, 100.0], [90.0, 110.0])
     assert m.mape_percent == 10.0 and m.rmse == 10.0
+    assert measure([3.0], [1.0 / 3.0]).mae == 3.0 - 1.0 / 3.0  # not rounded to 4 decimals
 
 
 # ------------------------------------------------------------------ evaluate
@@ -127,25 +125,25 @@ def test_evaluate_baseline_has_k_zero(default_run):
 def test_evaluate_rejects_foreign_objects_and_task_mismatch(default_run):
     _, test, _, model = default_run
     other = TrainedModel(Q=model.Q, W=model.W, tasks=tuple("x" + t for t in model.tasks))
-    for score in (evaluate, pooled_rmse):
-        with pytest.raises(InputError, match="cannot evaluate"):
-            score(object(), test)
-        with pytest.raises(InputError, match="do not match"):
-            score(other, test)
+    with pytest.raises(InputError, match="cannot evaluate"):
+        evaluate(object(), test)
+    with pytest.raises(InputError, match="do not match"):
+        evaluate(other, test)
 
 
-def test_report_equality_ignores_overall():
+def test_report_equality_includes_overall():
     per = {"a": MetricTriple(1.0, 1.0, 1.0)}
     r1 = MetricsReport(method="m", per_task=per, k=2, overall=MetricTriple(9.0, 9.0, 9.0))
-    r2 = MetricsReport(method="m", per_task=per, k=2, overall=None)
-    assert r1 == r2
+    r2 = MetricsReport(method="m", per_task=per, k=2, overall=MetricTriple(9.0, 9.0, 8.0))
+    assert r1 != r2
+    assert r1 == replace(r2, overall=r1.overall)
 
 
 def test_pooled_rmse_matches_manual_concatenation(default_run):
     _, test, _, model = default_run
     ys = np.concatenate([td.Y for td in test.tasks])
     yh = np.concatenate([predict(model, td.X, td.road_id) for td in test.tasks])
-    assert pooled_rmse(model, test) == pytest.approx(rmse(ys, yh), abs=1e-15)
+    assert evaluate(model, test).overall == measure(ys, yh)  # exact, bit for bit
 
 
 # ---------------------------------------------------------------- group tools
@@ -265,12 +263,13 @@ def test_report_csv_round_trip():
             method="titan",
             per_task={"a": MetricTriple(1.2345, 2.0, 3.5), "b": MetricTriple(0.5, 0.25, 12.0)},
             k=4,
-            overall=MetricTriple(1.0, 1.0, 1.0),
+            overall=None,  # the CSV holds per-task rows only
         ),
         MetricsReport(
             method="ridge",
             per_task={"a": MetricTriple(9.9999, 8.0, 77.7777), "b": MetricTriple(1.0, 1.0, 1.0)},
             k=0,
+            overall=None,
         ),
     )
     text = emit_report_csv(reports)

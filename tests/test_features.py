@@ -106,7 +106,7 @@ def test_multi_task_dataset_order_and_dims():
     tb = TaskDataset("b", np.zeros((2, 4)), np.ones(2))
     data = MultiTaskDataset((ta, tb), graph, 2, 2)
     assert data.p == 4 and data.n_tasks == 2
-    assert data.task("b") is tb
+    assert data.tasks[graph.tasks.index("b")] is tb
     with pytest.raises(InputError, match="order"):
         MultiTaskDataset((tb, ta), graph, 2, 2)
     with pytest.raises(InputError, match="h \\+ t"):

@@ -122,13 +122,6 @@ def test_task_edges_round_trip():
     np.testing.assert_array_equal(graph.adjacency, rebuilt.adjacency)
 
 
-def test_index_of_unknown_road():
-    graph = TaskGraph(("a", "b"), [("a", "b")])
-    assert graph.index_of("b") == 1
-    with pytest.raises(InputError, match="unknown road"):
-        graph.index_of("zzz")
-
-
 def test_parse_edge_list_skips_comments_and_blanks(tmp_path):
     edges = load_edge_list(edge_file(tmp_path, "# header\n\na b e1\n  b c e2  \n"))
     assert edges == [("a", "b", "e1"), ("b", "c", "e2")]

@@ -258,9 +258,9 @@ def test_grad_w_isolated_task_has_no_connectivity_term():
     state = random_state(rng, 6, 2, 3)
     hp = Hyperparams(lambda_conn=3.0, k=2)
     hp0 = dataclasses.replace(hp, lambda_conn=0.0)
-    r = graph.index_of("c")
+    r = graph.tasks.index("c")
     np.testing.assert_allclose(grad_W_r(r, data, state, hp), grad_W_r(r, data, state, hp0))
-    r_connected = graph.index_of("a")
+    r_connected = graph.tasks.index("a")
     assert not np.allclose(grad_W_r(r_connected, data, state, hp), grad_W_r(r_connected, data, state, hp0))
 
 

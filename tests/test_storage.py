@@ -25,7 +25,6 @@ from titan.storage import (
     read_hyperparams,
     read_matrix_csv,
     read_model,
-    read_split,
     read_synth_config,
     read_task_graph,
     write_dataset,
@@ -309,25 +308,34 @@ def test_write_dataset_refuses_tasks_that_miss_their_header(tmp_path):
         assert not (root / "tasks.json").exists()
 
 
-def test_read_split_matches_read_dataset_and_reads_one_split(tmp_path):
+def test_read_dataset_reads_the_splits_asked_for_on_one_graph(tmp_path, monkeypatch):
     train, test, _ = generate(SynthConfig(T=3, p=8, k=2, n_per_task=20,
                                           noise_sigma=0.5, graph_kind="path", seed=1))
     root = write_dataset(tmp_path / "ds", *in_memory(train, test))
     pair = read_dataset(root)
-    for split, whole in zip(("train", "test"), pair):
-        part = read_split(root, split)
-        assert part.graph.tasks == whole.graph.tasks and (part.h, part.t) == (whole.h, whole.t)
-        np.testing.assert_array_equal(part.graph.adjacency, whole.graph.adjacency)
-        for a, b in zip(part.tasks, whole.tasks):
-            np.testing.assert_array_equal(a.X, b.X)
-            np.testing.assert_array_equal(a.Y, b.Y)
+    assert pair[0].graph is pair[1].graph
+    for splits in (("train",), ("test",), ("test", "train")):
+        parts = read_dataset(root, splits)
+        assert len(parts) == len(splits) and len({id(part.graph) for part in parts}) == 1
+        for part, split in zip(parts, splits):
+            whole = pair[("train", "test").index(split)]
+            assert part.graph.tasks == whole.graph.tasks and (part.h, part.t) == (whole.h, whole.t)
+            np.testing.assert_array_equal(part.graph.adjacency, whole.graph.adjacency)
+            for a, b in zip(part.tasks, whole.tasks):
+                np.testing.assert_array_equal(a.X, b.X)
+                np.testing.assert_array_equal(a.Y, b.Y)
+    reads = []
+    monkeypatch.setattr(storage, "read_task_graph", lambda r, real=read_task_graph: reads.append(r) or real(r))
+    read_dataset(root)
+    assert reads == [root]  # tasks.json and graph.edges parsed once for both splits
     for f in (root / "train").iterdir():
         f.unlink()
-    assert read_split(root, "test").tasks[0].n == test.tasks[0].n  # train files never opened
+    (part,) = read_dataset(root, ("test",))
+    assert part.tasks[0].n == test.tasks[0].n  # train files never opened
     with pytest.raises(InputError, match="missing file"):
-        read_split(root, "train")
-    with pytest.raises(InputError, match="split must be one of"):
-        read_split(root, "validation")
+        read_dataset(root, ("train",))
+    with pytest.raises(InputError, match="splits must be among"):
+        read_dataset(root, ("validation",))
 
 
 # ---------------------------------------------------------------- values.npy
@@ -439,9 +447,9 @@ def test_damaged_values_npy_exits_naming_the_file(tmp_path_factory, damage):
     # random bytes, or the real file cut short
     values.write_bytes(damage if isinstance(damage, bytes) else good[:damage % len(good)])
     with pytest.raises(InputError) as exc:
-        read_split(root, "test")
+        read_dataset(root, ("test",))
     assert str(exc.value).startswith(f"{values}: ")
-    read_split(root, "train")  # the other split is intact
+    read_dataset(root, ("train",))  # the other split is intact
 
 
 def test_rewriting_a_dataset_replaces_its_caches(tmp_path):
