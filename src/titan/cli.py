@@ -229,7 +229,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep_k)
 
-    p = sub.add_parser("report-groups", help="dump per-task top groups and Q diagnostics")
+    p = sub.add_parser("report-groups", help="write each road's largest-weight group and Q as JSON")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="report JSON to write")
     p.set_defaults(func=cmd_report_groups)

@@ -1,4 +1,4 @@
-"""Metrics, comparison reports, group diagnostics, and k sweeps.
+"""Metrics, comparison reports, group-recovery scores, and k sweeps.
 
 `evaluate` is the one scorer: a report holds each task's metrics and the
 pooled (overall) metrics of all tasks' prediction pairs concatenated, as
@@ -99,18 +99,6 @@ def evaluate(model, data: MultiTaskDataset) -> MetricsReport:
     return MetricsReport(method=model.label, per_task=per_task, k=model.k, overall=overall)
 
 
-def top_group_per_task(model: TrainedModel):
-    """Per task, the group index with the largest |weight| and its Q column.
-
-    Ties break toward the lowest index.
-    """
-    out = {}
-    for r, road in enumerate(model.tasks):
-        i = int(np.argmax(np.abs(model.W[:, r])))
-        out[road] = (i, model.Q[:, i].copy())
-    return out
-
-
 def column_support(Q):
     """Boolean support masks: entries above SUPPORT_REL_THRESHOLD times the
     column max (column per row)."""
@@ -127,13 +115,6 @@ def jaccard(a, b):
     if not union:
         return 1.0
     return len(a & b) / len(union)
-
-
-def support_overlap_matrix(Q):
-    """Pairwise Jaccard overlap of column supports (diagnostic; zero
-    for any exactly feasible Q, whose supports are disjoint)."""
-    sets = [frozenset(np.flatnonzero(m)) for m in column_support(Q)]
-    return np.array([[jaccard(a, b) for b in sets] for a in sets])
 
 
 def recovery_jaccard(Q, block_supports):

@@ -1,4 +1,4 @@
-"""On-disk formats: dataset directories, model files, configs.
+"""On-disk formats: dataset directories, model files, group reports, configs.
 
 A dataset directory holds `tasks.json`, `graph.edges` (one task pair per
 line), `ground_truth.json` when generated synthetically, and `train/` +
@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import csvfmt, evaluation
+from . import csvfmt
 from .baselines import BaselineModel
 from .errors import InputError, data_lines, read_input_text
 from .features import MultiTaskDataset, TaskDataset
@@ -365,12 +365,13 @@ def read_model(path):
 
 
 def write_group_report(path, model):
-    """report-groups' JSON: each road's top group and its Q column, Q, the support overlap."""
-    top = evaluation.top_group_per_task(model)
+    """report-groups' JSON: each road's group, the one its largest |W|
+    entry picks (ties go to the lowest index), and Q as a model file
+    writes it."""
+    groups = np.abs(model.W).argmax(axis=0)
     _dump_json({
-        "tasks": {road: {"group": idx, "q": q.tolist()} for road, (idx, q) in top.items()},
+        "tasks": {road: {"group": int(g)} for road, g in zip(model.tasks, groups)},
         "Q": _fmt_matrix(model.Q),
-        "support_overlap": _fmt_matrix(evaluation.support_overlap_matrix(model.Q)),
     }, path)
 
 

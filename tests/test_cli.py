@@ -692,35 +692,42 @@ def test_the_cli_entry_point_pins_openblas_to_one_thread_unless_told():
     assert blas_threads_after("titan.cli") == default
 
 
+def report_groups(model, tmp_path):
+    """report-groups' JSON for `model`, written first to `tmp_path / "model.json"`."""
+    model_path, out = tmp_path / "model.json", tmp_path / "groups.json"
+    write_model(model_path, model)
+    assert main(["report-groups", "--model", str(model_path), "--out", str(out)]) == 0
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
 def test_report_groups_schema(trained, tmp_path):
-    _, model_path = trained
-    out = tmp_path / "groups.json"
-    assert main(["report-groups", "--model", str(model_path), "--out", str(out)]) == 0
-    obj = json.loads(out.read_text(encoding="utf-8"))
-    model = read_model(model_path)
-    assert set(obj["tasks"]) == set(model.tasks)
-    for entry in obj["tasks"].values():
-        assert 0 <= entry["group"] < model.k
-        assert len(entry["q"]) == model.p
-    overlap = np.asarray(obj["support_overlap"])
-    assert overlap.shape == (model.k, model.k)
-    np.testing.assert_allclose(np.diag(overlap), 1.0)
+    model = read_model(trained[1])
+    obj = report_groups(model, tmp_path)
+    assert set(obj) == {"tasks", "Q"}
+    assert list(obj["tasks"]) == list(model.tasks)
+    for r, (road, entry) in enumerate(obj["tasks"].items()):
+        assert entry == {"group": int(np.argmax(np.abs(model.W[:, r])))}, road
+    assert obj["Q"] == json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))["Q"]
 
 
-def test_report_groups_planted_truth_has_disjoint_supports(noiseless, tmp_path):
-    root, ds = noiseless
-    model_path = root / "truth_model.json"
-    if not model_path.exists():
-        truth = read_ground_truth(ds)
-        write_model(model_path, TrainedModel(
-            Q=truth.Q, W=truth.W, tasks=truth.tasks,
-            hyperparams=Hyperparams(k=truth.Q.shape[1]),
-            converged=True, iterations=1, final_residuals=(0.0, 0.0)))
-    out = tmp_path / "groups.json"
-    assert main(["report-groups", "--model", str(model_path), "--out", str(out)]) == 0
-    overlap = np.asarray(json.loads(out.read_text(encoding="utf-8"))["support_overlap"])
-    off = overlap - np.diag(np.diag(overlap))
-    assert np.all(off == 0.0)
+def test_report_groups_breaks_ties_toward_the_lowest_index(tmp_path):
+    W = np.array([[0.0, 3.0], [2.0, -3.0], [-5.0, 0.0]])
+    model = TrainedModel(Q=np.eye(4)[:, :3], W=W, tasks=("a", "b"), hyperparams=Hyperparams(k=3),
+                         iterations=1, final_residuals=(0.0, 0.0))
+    groups = report_groups(model, tmp_path)["tasks"]
+    assert groups == {"a": {"group": 2}, "b": {"group": 0}}  # |-5| beats |2|; |3| ties |-3|
+
+
+def test_report_groups_recover_the_planted_dominant_group(default_run, tmp_path):
+    _, _, truth, model = default_run
+    obj = report_groups(model, tmp_path)
+    Q = np.asarray(obj["Q"])
+    scores = []
+    for r, road in enumerate(model.tasks):
+        planted = truth.block_supports[int(np.argmax(np.abs(truth.W[:, r])))]
+        learned = np.flatnonzero(Q[:, obj["tasks"][road]["group"]])
+        scores.append(evaluation.jaccard(learned, planted))
+    assert float(np.mean(scores)) >= 0.8
 
 
 def test_report_groups_rejects_baseline(small_ds, tmp_path, capsys):

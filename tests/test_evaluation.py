@@ -1,4 +1,4 @@
-"""Metrics, reports, group diagnostics, and the k sweep."""
+"""Metrics, reports, group-recovery scores, and the k sweep."""
 
 from dataclasses import replace
 
@@ -20,9 +20,7 @@ from titan.evaluation import (
     measure,
     recovery_jaccard,
     rmse,
-    support_overlap_matrix,
     sweep_group_count,
-    top_group_per_task,
 )
 from titan.solver import Hyperparams, TrainedModel, fit, predict
 from titan.synth import SynthConfig, generate, plant_Q
@@ -146,33 +144,7 @@ def test_pooled_rmse_matches_manual_concatenation(default_run):
     assert evaluate(model, test).overall == measure(ys, yh)  # exact, bit for bit
 
 
-# ---------------------------------------------------------------- group tools
-
-
-def test_top_group_hand_cases():
-    Q = np.eye(4)[:, :3]
-    W = np.array([[0.0, 3.0], [5.0, -3.0], [-2.0, 0.0]])
-    model = TrainedModel(Q=Q, W=W, tasks=("a", "b"))
-    top = top_group_per_task(model)
-    idx_a, col_a = top["a"]
-    assert idx_a == 1  # |5| beats |-2| and |0|
-    np.testing.assert_array_equal(col_a, Q[:, 1])
-    idx_b, _ = top["b"]
-    assert idx_b == 0  # |3| ties |-3|; lowest index wins
-
-
-def test_top_group_recovers_planted_dominant_group(default_run):
-    _, _, truth, model = default_run
-    blocks = truth.block_supports
-    top = top_group_per_task(model)
-    masks = column_support(model.Q)
-    scores = []
-    for r, road in enumerate(model.tasks):
-        dom = int(np.argmax(np.abs(truth.W[:, r])))
-        learned_idx, _ = top[road]
-        learned_support = frozenset(np.flatnonzero(masks[learned_idx]))
-        scores.append(jaccard(learned_support, blocks[dom]))
-    assert float(np.mean(scores)) >= 0.8
+# ------------------------------------------------------------ group recovery
 
 
 def test_column_support_threshold():
@@ -187,14 +159,6 @@ def test_jaccard_values():
     assert jaccard(set(), set()) == 1.0
     assert jaccard({1}, set()) == 0.0
     assert jaccard({1, 2}, {1, 2}) == 1.0
-
-
-def test_support_overlap_zero_for_feasible_q():
-    Q = plant_Q(12, 3, seed=0)
-    overlap = support_overlap_matrix(Q)
-    np.testing.assert_array_equal(np.diag(overlap), np.ones(3))
-    off = overlap - np.diag(np.diag(overlap))
-    assert np.all(off == 0.0)
 
 
 def test_recovery_jaccard_perfect_on_planted_q():

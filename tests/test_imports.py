@@ -1,8 +1,12 @@
 """Every module-level import in the package, the tests and the scripts is
 read somewhere in its module: a name imported and never used is a
-leftover of a deleted caller."""
+leftover of a deleted caller. The file formats sit below the scoring
+layer."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +40,10 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES])
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == [], path
+
+
+def test_storage_does_not_import_the_scoring_layer():
+    script = "import sys, titan.storage; print('titan.evaluation' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stdout + proc.stderr

@@ -876,15 +876,24 @@ def test_fit_stalled_q_step_never_converges():
 
 def test_fit_recovers_planted_groups_on_every_seed():
     """Default star benchmark on 12 seeds: every fit converges, with Q
-    exactly feasible, and recovers the planted blocks (criteria 4 and 5
-    rest on seed 7 alone)."""
+    exactly feasible and each feature in at most one group, and recovers
+    the planted blocks (criteria 4 and 5 rest on seed 7 alone)."""
     for seed in range(12):
         train, _, truth = generate(SynthConfig(seed=seed))
         model = fit(train, Hyperparams())
         score = recovery_jaccard(model.Q, truth.block_supports)
         assert model.converged, f"seed {seed}: {model.iterations} iterations, {model.final_residuals}"
         assert model.orth_gap < 1e-12, f"seed {seed}: orth gap {model.orth_gap:.2e}"
+        assert np.all(np.count_nonzero(model.Q, axis=1) <= 1), f"seed {seed}: overlapping groups"
         assert score >= 0.8, f"seed {seed}: Jaccard {score:.3f}"
+
+
+def test_wide_fit_returns_q_with_at_most_one_nonzero_per_row():
+    """Each feature belongs to at most one group, so the groups' supports
+    are disjoint, at p = 120 too."""
+    train, _, _ = generate(SynthConfig(seed=3, p=120))
+    Q = fit(train, Hyperparams()).Q
+    assert np.all(np.count_nonzero(Q, axis=1) <= 1)
 
 
 def test_fit_rejects_k_above_p():
